@@ -206,13 +206,6 @@ class NL2CM:
             (``kb_lint_report`` stays ``None``).  Repeated
             constructions over the same cached ontology reuse the
             memoized OntologyLint analysis.
-        planner: BGP evaluator for ontology queries made on behalf of
-            this translator (e.g. the OASSIS engine the demo builds for
-            the translated query): ``"cost"`` (default) creates a
-            dedicated :class:`~repro.rdf.planner.QueryPlanner` — cached,
-            statistics-ordered, compiled plans, with per-translator
-            cache counters — ``"greedy"`` keeps the seed per-call
-            greedy join for A/B comparison.
         tagger: the POS tagger behind the dependency parser:
             ``"rules"`` (default) keeps the deterministic rule/lexicon
             tagger — translation output is byte-identical to earlier
@@ -237,9 +230,6 @@ class NL2CM:
     #: Legal values of the ``kb_lint`` constructor argument.
     KB_LINT_MODES = ("error", "warn", "off")
 
-    #: Legal values of the ``planner`` constructor argument.
-    PLANNER_MODES = ("cost", "greedy")
-
     #: Legal values of the ``tagger`` constructor argument.
     TAGGER_MODES = ("rules", "learned")
 
@@ -252,7 +242,6 @@ class NL2CM:
         feedback: FeedbackStore | None = None,
         lint: str = "error",
         kb_lint: str = "warn",
-        planner: str = "cost",
         tagger: str = "rules",
         stage_timeout_ms: float | None = None,
     ):
@@ -265,11 +254,6 @@ class NL2CM:
                 f"kb_lint must be one of {self.KB_LINT_MODES}, "
                 f"got {kb_lint!r}"
             )
-        if planner not in self.PLANNER_MODES:
-            raise ValueError(
-                f"planner must be one of {self.PLANNER_MODES}, "
-                f"got {planner!r}"
-            )
         if tagger not in self.TAGGER_MODES:
             raise ValueError(
                 f"tagger must be one of {self.TAGGER_MODES}, "
@@ -278,11 +262,11 @@ class NL2CM:
         if stage_timeout_ms is not None and stage_timeout_ms < 0:
             raise ValueError("stage_timeout_ms must be non-negative")
         self.lint_mode = lint
-        self.planner_mode = planner
-        # A dedicated planner (not the process-wide default) so this
-        # translator's plan-cache counters are its own — the service
-        # layer surfaces them per instance.
-        self.planner = QueryPlanner() if planner == "cost" else None
+        # A dedicated planner (not the process-wide default) for BGP
+        # queries made on behalf of this translator, e.g. by an OASSIS
+        # engine built for its queries: its plan-cache counters are its
+        # own, and the service layer surfaces them per instance.
+        self.planner = QueryPlanner()
         self.stage_timeout = (
             stage_timeout_ms / 1000.0 if stage_timeout_ms is not None
             else None

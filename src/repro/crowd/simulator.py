@@ -20,11 +20,11 @@ experiments sweep it.
 from __future__ import annotations
 
 import hashlib
+import math
+import statistics
 import struct
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.crowd.model import FactSet, GroundTruth
 
@@ -44,7 +44,7 @@ def _unit_gaussian(*key_parts: object) -> float:
     a, b = struct.unpack("<II", digest[:8])
     u1 = (a + 1) / 4294967297.0
     u2 = (b + 1) / 4294967297.0
-    return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class CrowdMember:
         idiosyncratic = noise * _unit_gaussian(
             seed, self.member_id, fact_set.key()
         )
-        return float(np.clip(truth + self.bias + idiosyncratic, 0.0, 1.0))
+        return min(max(truth + self.bias + idiosyncratic, 0.0), 1.0)
 
 
 class SimulatedCrowd:
@@ -135,7 +135,7 @@ class SimulatedCrowd:
             m.personal_value(fact_set, truth, self.noise, self.seed)
             for m in self._members
         ]
-        return float(np.mean(values))
+        return statistics.fmean(values)
 
     def reset_counters(self) -> None:
         with self._count_lock:

@@ -42,7 +42,7 @@ from repro.oassisql.ast import (
     TopK,
 )
 from repro.rdf.ontology import Ontology
-from repro.rdf.planner import QueryPlanner, default_planner
+from repro.rdf.planner import QueryPlanner
 from repro.rdf.sparql import TriplePattern, iter_bgp
 from repro.rdf.terms import IRI, Literal, Variable
 
@@ -144,24 +144,13 @@ class OassisEngine:
         crowd: SimulatedCrowd,
         config: EngineConfig | None = None,
         registry: MetricsRegistry | None = None,
-        planner: str | QueryPlanner | None = None,
+        planner: QueryPlanner | None = None,
     ):
         self.ontology = ontology
         self.crowd = crowd
         self.config = config or EngineConfig()
-        # WHERE evaluator: None/"greedy" = the greedy per-call join,
-        # "cost" = the shared cost-based planner (plan cache included),
-        # or a QueryPlanner instance for a dedicated cache.
-        if isinstance(planner, str):
-            if planner == "greedy":
-                planner = None
-            elif planner == "cost":
-                planner = default_planner()
-            else:
-                raise ValueError(
-                    f"unknown planner {planner!r}; "
-                    "expected 'cost' or 'greedy'"
-                )
+        # WHERE planner: a QueryPlanner instance for a dedicated plan
+        # cache, or None for the process-wide default planner.
         self.planner = planner
         # (member_id, fact_set.key()) -> answer; the crowd model is
         # deterministic per member, so repeated subclauses and repeated

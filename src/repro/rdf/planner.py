@@ -1,10 +1,8 @@
 """Cost-based BGP query planner: statistics-driven join ordering,
 shape-keyed plan caching, and compiled step execution.
 
-The seed evaluator (:func:`repro.rdf.sparql.evaluate_bgp`) is greedy
-and forgetful: it re-scores selectivity with ``store.count()`` at every
-recursion node and throws the memo away when the call returns.  This
-module makes planning a first-class, persistent activity:
+This module is the BGP evaluator behind
+:func:`repro.rdf.sparql.iter_bgp`.  Planning is a persistent activity:
 
 * **Cost model** — join order is chosen *once per query shape* from the
   store's incremental cardinality statistics
@@ -28,9 +26,8 @@ module makes planning a first-class, persistent activity:
   the join early instead of materializing every solution.
 
 Filters are attached to the earliest step at which all their variables
-are bound (matching the seed's push-down); filters that mention a
-variable no pattern ever binds are never evaluated — also the seed's
-behavior.
+are bound; filters that mention a variable no pattern ever binds are
+never evaluated.
 """
 
 from __future__ import annotations
@@ -254,8 +251,7 @@ def _build_plan(
     # Filter attachment: the earliest step after which every variable
     # of the filter is bound.  Index -1 means "before the first step"
     # (constant filters, or filters over initially-bound variables);
-    # filters whose variables are never all bound are dropped — the
-    # seed evaluator never runs those either.
+    # filters whose variables are never all bound are dropped.
     bound_after: list[set[str]] = []
     acc = set(initial_vars)
     for i in order:

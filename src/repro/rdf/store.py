@@ -79,14 +79,17 @@ class TripleStore:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._spo: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        # Innermost buckets are insertion-ordered dicts used as sets
+        # (values are None): a set would enumerate in hash order, which
+        # varies with PYTHONHASHSEED and would leak into solution order.
+        self._spo: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
-        self._pos: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        self._pos: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
-        self._osp: dict[Term, dict[Term, set[Term]]] = defaultdict(
-            lambda: defaultdict(set)
+        self._osp: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
+            lambda: defaultdict(dict)
         )
         self._size = 0
         # Incremental cardinality statistics (see module docstring).
@@ -157,9 +160,9 @@ class TripleStore:
         new_subject = objs is None
         by_o = self._pos.get(p)
         new_object = by_o is None or o not in by_o
-        self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
+        self._spo[s][p][o] = None
+        self._pos[p][o][s] = None
+        self._osp[o][s][p] = None
         self._size += 1
         self._pred_triples[p] = self._pred_triples.get(p, 0) + 1
         if new_subject:
@@ -192,7 +195,7 @@ class TripleStore:
         objs = row.get(p) if row is not None else None
         if objs is None or o not in objs:
             return False
-        objs.remove(o)
+        del objs[o]
         if not objs:
             # s lost its last p-edge: one fewer distinct subject of p.
             self._pred_subjects[p] -= 1
@@ -203,7 +206,7 @@ class TripleStore:
                 del self._spo[s]
         by_o = self._pos[p]
         subjs = by_o[o]
-        subjs.discard(s)
+        del subjs[s]
         if not subjs:
             # o is no longer an object of p.
             self._pred_objects[p] -= 1
@@ -214,7 +217,7 @@ class TripleStore:
                 del self._pos[p]
         by_s = self._osp[o]
         preds = by_s[s]
-        preds.discard(p)
+        del preds[p]
         if not preds:
             del by_s[s]
             if not by_s:
@@ -278,7 +281,7 @@ class TripleStore:
 
     def contains(self, s: Term, p: Term, o: Term) -> bool:
         """True if the concrete triple is in the store."""
-        return o in self._spo.get(s, {}).get(p, set())
+        return o in self._spo.get(s, {}).get(p, ())
 
     def predicate_index(self):
         """Live predicate-major view: ``(p, {o: {s, ...}})`` pairs.
@@ -306,8 +309,7 @@ class TripleStore:
     ) -> int:
         """Number of triples matching the pattern.
 
-        Fully-open and single-position patterns are O(1)/O(index-row);
-        used by the query planner for selectivity ordering.
+        Fully-open and single-position patterns are O(1)/O(index-row).
         """
         s, p, o = _as_pattern(s), _as_pattern(p), _as_pattern(o)
         if s is None and p is None and o is None:

@@ -139,7 +139,7 @@ class ServiceStats:
         breaker_rejections: interaction calls rejected by an open
             circuit breaker.
         plan_cache_hits: BGP plan-cache hits of the translator's query
-            planner (zeros when the translator runs ``planner="greedy"``).
+            planner.
         plan_cache_misses: plan-cache misses (first sight of a query
             shape), same scope.
         plan_cache_invalidations: cached plans dropped because the
@@ -340,9 +340,7 @@ class TranslationService:
         self._build_metrics()
         if self.cache is not None:
             self.cache.bind_registry(self.registry)
-        planner = getattr(self.nl2cm, "planner", None)
-        if planner is not None:
-            planner.bind_registry(self.registry)
+        self.nl2cm.planner.bind_registry(self.registry)
 
     def _build_metrics(self) -> None:
         r = self.registry
@@ -847,15 +845,13 @@ class TranslationService:
                     self._m_breaker_rejections.value()
                 ),
             )
-            planner = getattr(self.nl2cm, "planner", None)
-            if planner is not None:
-                plans = planner.snapshot()
-                snapshot.update(
-                    plan_cache_hits=plans.hits,
-                    plan_cache_misses=plans.misses,
-                    plan_cache_invalidations=plans.invalidations,
-                    plans_compiled=plans.compiled,
-                )
+            plans = self.nl2cm.planner.snapshot()
+            snapshot.update(
+                plan_cache_hits=plans.hits,
+                plan_cache_misses=plans.misses,
+                plan_cache_invalidations=plans.invalidations,
+                plans_compiled=plans.compiled,
+            )
             cache_stats = (
                 self.cache.stats() if self.cache is not None else None
             )

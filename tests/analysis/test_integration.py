@@ -8,6 +8,7 @@ from repro.analysis import AnalysisReport, Diagnostic, Severity
 from repro.core.pipeline import NL2CM, TranslationTrace
 from repro.errors import QueryLintError
 from repro.oassisql import parse_oassisql
+from repro.rdf.planner import QueryPlanner
 from repro.service import TranslationService
 from repro.ui.admin import render_analysis_report, render_service_stats
 
@@ -103,6 +104,7 @@ class FakeNL2CM:
     def __init__(self, reports):
         self.interaction = SimpleNamespace(cache_fingerprint="fp")
         self.ontology = None
+        self.planner = QueryPlanner()
         self.reports = reports
         self.calls = 0
 

@@ -44,7 +44,7 @@ class TestMainFunction:
         args = build_parser().parse_args(["hello"])
         assert args.crowd_size == 120
         assert not args.execute
-        assert args.planner == "cost"
+        assert not hasattr(args, "planner")
 
     def test_explain_question_file(self, tmp_path, capsys):
         batch = tmp_path / "questions.txt"
@@ -83,14 +83,6 @@ class TestMainFunction:
         status = main(["--explain", "/nonexistent/nope.txt"])
         assert status == 2
         assert "cannot read" in capsys.readouterr().err
-
-    def test_planner_greedy_translates_identically(self, capsys):
-        question = "Where do you visit in Buffalo?"
-        assert main(["--planner", "greedy", question]) == 0
-        greedy_out = capsys.readouterr().out
-        assert main(["--planner", "cost", question]) == 0
-        cost_out = capsys.readouterr().out
-        assert greedy_out == cost_out
 
 
 class TestServeMode:
