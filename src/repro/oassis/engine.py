@@ -161,16 +161,14 @@ class OassisEngine:
         self._m_evaluations = None
         self._m_eval_seconds = None
         self._m_tasks = None
-        self._m_answer_cache = None
         if registry is not None:
             self.bind_registry(registry)
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Mirror the engine's counters into ``registry``.
-
-        Sharing the translation service's registry puts evaluation
-        metrics on the same scrape endpoint as translation metrics.
-        """
+        """Record the engine's counters in ``registry``; answer-cache
+        lookups (~60 per query) are the engine's own counts, read when
+        the registry snapshots.  Sharing the translation service's
+        registry puts evaluation metrics on the same scrape endpoint."""
         self._m_evaluations = registry.counter(
             "oassis_evaluations_total",
             "OASSIS-QL queries evaluated, by outcome (ok/error).",
@@ -185,11 +183,18 @@ class OassisEngine:
             "oassis_crowd_tasks_total",
             "Crowd tasks issued across evaluations.",
         )
-        self._m_answer_cache = registry.counter(
+        registry.counter(
             "oassis_answer_cache_total",
             "Memoized crowd-answer lookups by result (hit/miss).",
             labelnames=("result",),
+            callback=self._sample_answer_cache,
         )
+
+    def _sample_answer_cache(self) -> dict[str, int]:
+        return {
+            "hit": self.answer_cache_hits,
+            "miss": self.answer_cache_misses,
+        }
 
     def clear_answer_cache(self) -> None:
         """Drop memoized crowd answers (e.g. after swapping the crowd)."""
@@ -456,12 +461,8 @@ class OassisEngine:
                 answer = self.crowd.ask(member, fact_set)
                 self._answer_cache[key] = answer
                 self.answer_cache_misses += 1
-                if self._m_answer_cache is not None:
-                    self._m_answer_cache.labels(result="miss").inc()
             else:
                 self.answer_cache_hits += 1
-                if self._m_answer_cache is not None:
-                    self._m_answer_cache.labels(result="hit").inc()
         else:
             answer = self.crowd.ask(member, fact_set)
         if self._m_tasks is not None:

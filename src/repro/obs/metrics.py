@@ -7,8 +7,7 @@ instrument kinds —
 
 * :class:`Counter` — monotonically increasing floats (requests,
   cache hits, crowd tasks);
-* :class:`Gauge` — instantaneous values, settable or computed by a
-  lock-free callback (cache size);
+* :class:`Gauge` — instantaneous values (queue depth, cache size);
 * :class:`Histogram` — cumulative-bucket latency distributions over
   fixed log-scale buckets (per-stage pipeline latency).
 
@@ -16,13 +15,20 @@ Every instrument may be *labeled* (``stage="ix-finder"``); a labeled
 family holds one child per label-value combination.  Registration is
 get-or-create: asking for an already-registered name returns the
 existing family (so a shared registry aggregates across services), and
-conflicting re-registration (different kind, help or label names)
-raises :class:`~repro.errors.MetricsError`.
+conflicting re-registration (different kind or label names) raises
+:class:`~repro.errors.MetricsError`.
 
-:meth:`MetricsRegistry.expose` renders the whole registry in the
-Prometheus text exposition format (version 0.0.4), and
-:func:`parse_prometheus_text` parses that format back — used by the
-tests and the CI job to prove the output is well-formed line by line.
+A counter or gauge may instead be a **callback** family that reads a
+count its owner keeps (the cache's hits), so each event is counted
+once and the owner's reset is the only reset.  Several owners' counts
+add up; a gauge reads its first owner only.
+
+:meth:`MetricsRegistry.snapshot` is the one read path: a JSON-safe
+dict that :func:`merge_snapshots` adds up by family kind and
+:func:`expose_snapshot` renders in the Prometheus text exposition
+format (version 0.0.4).  :func:`parse_prometheus_text` parses that
+format back — used by the tests and the CI job to prove the output is
+well-formed line by line.
 
 Everything is stdlib-only by design: the container this runs in has no
 ``prometheus_client``, and none is needed.
@@ -34,7 +40,8 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterator, Mapping
+from itertools import accumulate
+from typing import Callable, Mapping
 
 from repro.errors import MetricsError
 
@@ -44,7 +51,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "drop_gauges",
+    "expose_snapshot",
+    "histogram_quantile",
+    "label_snapshot",
+    "merge_snapshots",
     "parse_prometheus_text",
+    "read_view",
+    "snapshot_value",
 ]
 
 #: Fixed log-scale (1-2.5-5 per decade) latency buckets, in seconds,
@@ -64,6 +78,16 @@ _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: The key of one child inside a family: label values, in the order of
 #: the family's ``labelnames``.
 LabelValues = tuple[str, ...]
+
+#: A JSON-safe registry snapshot: ``{family name: {"kind", "help",
+#: "labelnames", "series": [[label values, value], ...]}}``.  Histogram
+#: families also carry ``"buckets"`` (finite upper bounds), and each
+#: histogram value is ``{"counts": per-bucket counts, "sum", "count"}``.
+Snapshot = dict[str, dict]
+
+#: A callback returns a number for an unlabeled family, else a mapping
+#: from label values (a tuple; a bare string for one label) to numbers.
+Callback = Callable[[], "float | Mapping[object, float]"]
 
 
 def _format_value(value: float) -> str:
@@ -100,6 +124,31 @@ def _render_labels(
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
+def histogram_quantile(
+    buckets, counts, count: int, q: float
+) -> float:
+    """Bucket-interpolated quantile estimate (Prometheus-style).
+
+    ``counts`` are per finite bucket (not cumulative); ``count``
+    includes the overflow.  Linear interpolation inside the bucket that
+    crosses the target rank; an estimate for admin panels.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise MetricsError("quantile must be in [0, 1]")
+    if not count:
+        return 0.0
+    target = q * count
+    running = 0
+    lower = 0.0
+    for bound, n in zip(buckets, counts):
+        if running + n >= target and n:
+            return lower + (bound - lower) * (target - running) / n
+        running += n
+        lower = bound
+    # Target falls into the overflow (+Inf) bucket.
+    return buckets[-1] if count > sum(counts) else lower
+
+
 class _Family:
     """Common machinery of a labeled metric family.
 
@@ -107,6 +156,8 @@ class _Family:
     lock: instrument updates are cheap (a dict lookup and a float add),
     and one lock keeps the whole registry's lock ordering trivial —
     nothing in this module ever acquires another lock while holding it.
+    Callbacks run under it too, so they must be lock-free and cheap
+    (read an int the owner keeps, ``len()`` of a dict).
     """
 
     kind = "untyped"
@@ -117,6 +168,7 @@ class _Family:
         help: str,
         labelnames: tuple[str, ...],
         lock: threading.RLock,
+        callback: Callback | None = None,
     ):
         if not _METRIC_NAME.match(name):
             raise MetricsError(f"invalid metric name {name!r}")
@@ -130,6 +182,17 @@ class _Family:
         self.labelnames = tuple(labelnames)
         self._lock = lock
         self._children: dict[LabelValues, object] = {}
+        self._callbacks: list[Callback] = []
+        if callback is not None:
+            self._add_callback(callback)
+
+    def _add_callback(self, callback: Callback) -> None:
+        """Add an owner's callback; the same bound method binds once."""
+        with self._lock:
+            if self._children:
+                raise MetricsError(f"metric {self.name!r} stores values")
+            if callback not in self._callbacks:
+                self._callbacks.append(callback)
 
     # -- children ------------------------------------------------------------
 
@@ -145,6 +208,11 @@ class _Family:
         """The child for one label-value combination (created lazily)."""
         key = self._key(labels)
         with self._lock:
+            if self._callbacks:
+                raise MetricsError(
+                    f"callback {self.kind} {self.name!r} cannot be set: "
+                    f"it reads its owner's count"
+                )
             child = self._children.get(key)
             if child is None:
                 child = self._make_child()
@@ -159,46 +227,60 @@ class _Family:
             )
         return self.labels()
 
-    def children(self) -> list[tuple[dict[str, str], object]]:
-        """Snapshot of ``(labels dict, child)`` pairs, insertion order."""
-        with self._lock:
-            return [
-                (dict(zip(self.labelnames, key)), child)
-                for key, child in self._children.items()
-            ]
-
     def _make_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def _series(self) -> dict[LabelValues, object]:
+        """Every series' current sample; the caller holds the lock."""
+        if not self._callbacks:
+            return {
+                key: child.sample() for key, child in self._children.items()
+            }
+        out: dict[LabelValues, float] = {}
+        for callback in self._callbacks:
+            values = callback()
+            if not self.labelnames:
+                values = {(): values}
+            for key, value in values.items():
+                key = key if isinstance(key, tuple) else (key,)
+                out[key] = out.get(key, 0.0) + float(value)
+        return out
+
+    def _value(self, labels: Mapping[str, str], default=0.0):
+        key = self._key(labels)
+        with self._lock:
+            return self._series().get(key, default)
+
+    def value(self, **labels: str):
+        """Current value; 0.0 for a label combination never touched
+        (a histogram's value is its ``{counts, sum, count}`` sample)."""
+        return self._value(labels)
+
     def reset(self) -> None:
-        """Zero every child **in place**.
+        """Zero every stored child **in place**.
 
         Children are kept (their label series persist at zero, as
         Prometheus series do) so handles cached by hot paths — e.g. the
         service's per-outcome counter children — stay live across a
         reset instead of silently recording into detached objects.
+        Callback families are untouched: their owner resets its count.
         """
         with self._lock:
             for child in self._children.values():
                 child.reset()
 
-    # -- exposition ----------------------------------------------------------
-
-    def _header(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-
-    def expose(self) -> list[str]:
+    def snapshot(self) -> dict:
+        """This family as one JSON-safe :data:`Snapshot` entry."""
         with self._lock:
-            lines = self._header()
-            for key, child in self._children.items():
-                lines.extend(self._expose_child(key, child))
-            return lines
-
-    def _expose_child(self, key, child):  # pragma: no cover - overridden
-        raise NotImplementedError
+            return {
+                "kind": self.kind,
+                "help": self.help,
+                "labelnames": list(self.labelnames),
+                "series": [
+                    [list(key), value]
+                    for key, value in self._series().items()
+                ],
+            }
 
 
 class _CounterChild:
@@ -218,8 +300,7 @@ class _CounterChild:
         with self._lock:
             self._value = 0.0
 
-    @property
-    def value(self) -> float:
+    def sample(self) -> float:
         with self._lock:
             return self._value
 
@@ -235,74 +316,36 @@ class Counter(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
 
-    def value(self, **labels: str) -> float:
-        """Current value; 0.0 for a label combination never touched."""
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            return child.value if child is not None else 0.0
 
-    def _expose_child(self, key, child):
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {_format_value(child.value)}"]
-
-
-class _GaugeChild:
-    __slots__ = ("_value", "_lock", "_callback")
-
-    def __init__(
-        self,
-        lock: threading.RLock,
-        callback: Callable[[], float] | None = None,
-    ):
-        self._value = 0.0
-        self._lock = lock
-        self._callback = callback
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
-        if self._callback is not None:
-            raise MetricsError("callback gauges cannot be set")
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._callback is not None:
-            raise MetricsError("callback gauges cannot be set")
         with self._lock:
             self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def reset(self) -> None:
-        if self._callback is not None:
-            return  # callback gauges describe live state
-        with self._lock:
-            self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        if self._callback is not None:
-            # Callbacks run under the registry lock during expose();
-            # they must be lock-free and cheap (e.g. len() of a dict).
-            return float(self._callback())
-        with self._lock:
-            return self._value
-
 
 class Gauge(_Family):
-    """An instantaneous value; optionally computed by a callback."""
+    """An instantaneous value; optionally read from a callback."""
 
     kind = "gauge"
 
-    def __init__(self, name, help, labelnames, lock, callback=None):
-        if callback is not None and labelnames:
-            raise MetricsError("callback gauges cannot be labeled")
-        super().__init__(name, help, labelnames, lock)
-        self._callback = callback
+    def _add_callback(self, callback: Callback) -> None:
+        """A gauge describes one owner's state (a breaker, a fan-out
+        width), which does not add up: the first owner's callback stays."""
+        with self._lock:
+            if not self._callbacks:
+                super()._add_callback(callback)
 
     def _make_child(self) -> _GaugeChild:
-        return _GaugeChild(self._lock, self._callback)
+        return _GaugeChild(self._lock)
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
@@ -312,25 +355,6 @@ class Gauge(_Family):
 
     def dec(self, amount: float = 1.0) -> None:
         self._default_child().dec(amount)
-
-    def value(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None and self._callback is not None:
-                child = self.labels()
-            return child.value if child is not None else 0.0
-
-    def _expose_child(self, key, child):
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {_format_value(child.value)}"]
-
-    def expose(self) -> list[str]:
-        # Materialize the default child so a callback gauge shows up
-        # even if nobody ever read it.
-        if self._callback is not None:
-            self.labels()
-        return super().expose()
 
 
 class _HistogramChild:
@@ -357,15 +381,13 @@ class _HistogramChild:
             self._sum = 0.0
             self._count = 0
 
-    @property
-    def sum(self) -> float:
+    def sample(self) -> dict:
         with self._lock:
-            return self._sum
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
+            return {
+                "counts": list(self._counts),
+                "sum": self._sum,
+                "count": self._count,
+            }
 
     def cumulative_counts(self) -> list[tuple[float, int]]:
         """``(upper bound, cumulative count)`` pairs, ending at +Inf."""
@@ -378,29 +400,11 @@ class _HistogramChild:
             return out
 
     def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (Prometheus-style).
-
-        Linear interpolation inside the bucket that crosses the target
-        rank; the last bucket clamps to its lower bound.  An estimate —
-        good for admin panels, not for billing.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MetricsError("quantile must be in [0, 1]")
+        """See :func:`histogram_quantile`."""
         with self._lock:
-            if not self._count:
-                return 0.0
-            target = q * self._count
-            running = 0
-            lower = 0.0
-            overflow = self._count - sum(self._counts)
-            for bound, n in zip(self.buckets, self._counts):
-                if running + n >= target and n:
-                    fraction = (target - running) / n
-                    return lower + (bound - lower) * fraction
-                running += n
-                lower = bound
-            # Target falls into the overflow (+Inf) bucket.
-            return self.buckets[-1] if overflow else lower
+            return histogram_quantile(
+                self.buckets, self._counts, self._count, q
+            )
 
 
 class Histogram(_Family):
@@ -424,28 +428,15 @@ class Histogram(_Family):
         self._default_child().observe(value)
 
     def sum(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            return child.sum if child is not None else 0.0
+        return self._value(labels, {"sum": 0.0})["sum"]
 
     def count(self, **labels: str) -> int:
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            return child.count if child is not None else 0
+        return self._value(labels, {"count": 0})["count"]
 
-    def _expose_child(self, key, child):
-        lines = []
-        for bound, cumulative in child.cumulative_counts():
-            labels = _render_labels(
-                self.labelnames, key, (("le", _format_value(bound)),)
-            )
-            lines.append(f"{self.name}_bucket{labels} {cumulative}")
-        labels = _render_labels(self.labelnames, key)
-        lines.append(f"{self.name}_sum{labels} {_format_value(child.sum)}")
-        lines.append(f"{self.name}_count{labels} {child.count}")
-        return lines
+    def snapshot(self) -> dict:
+        record = super().snapshot()
+        record["buckets"] = list(self.buckets)
+        return record
 
 
 class MetricsRegistry:
@@ -467,15 +458,18 @@ class MetricsRegistry:
         name: str,
         help: str,
         labelnames: tuple[str, ...] = (),
+        callback: Callback | None = None,
     ) -> Counter:
-        return self._register(Counter, name, help, tuple(labelnames))
+        return self._register(
+            Counter, name, help, tuple(labelnames), callback=callback
+        )
 
     def gauge(
         self,
         name: str,
         help: str,
         labelnames: tuple[str, ...] = (),
-        callback: Callable[[], float] | None = None,
+        callback: Callback | None = None,
     ) -> Gauge:
         return self._register(
             Gauge, name, help, tuple(labelnames), callback=callback
@@ -495,20 +489,22 @@ class MetricsRegistry:
     def _register(self, cls, name, help, labelnames, **kwargs) -> _Family:
         with self._lock:
             existing = self._families.get(name)
-            if existing is not None:
-                if (
-                    type(existing) is not cls
-                    or existing.labelnames != labelnames
-                ):
-                    raise MetricsError(
-                        f"metric {name!r} is already registered as a "
-                        f"{existing.kind} with labels "
-                        f"{list(existing.labelnames)}"
-                    )
-                return existing
-            family = cls(name, help, labelnames, self._lock, **kwargs)
-            self._families[name] = family
-            return family
+            if existing is None:
+                family = cls(name, help, labelnames, self._lock, **kwargs)
+                self._families[name] = family
+                return family
+            if (
+                type(existing) is not cls
+                or existing.labelnames != labelnames
+            ):
+                raise MetricsError(
+                    f"metric {name!r} is already registered as a "
+                    f"{existing.kind} with labels "
+                    f"{list(existing.labelnames)}"
+                )
+            if kwargs.get("callback") is not None:
+                existing._add_callback(kwargs["callback"])
+            return existing
 
     # -- introspection -------------------------------------------------------
 
@@ -516,35 +512,153 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
-    def __iter__(self) -> Iterator[_Family]:
-        with self._lock:
-            return iter(list(self._families.values()))
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._families)
 
     def reset(self) -> None:
-        """Zero every value; registrations and callbacks survive."""
+        """Zero every stored value; registrations and callbacks survive."""
         with self._lock:
             for family in self._families.values():
                 family.reset()
 
-    # -- exposition ----------------------------------------------------------
+    # -- snapshot and exposition ---------------------------------------------
+
+    def snapshot(self) -> Snapshot:
+        """Every family's current series as one JSON-safe dict.
+
+        Taken under the registry lock in one pass, so no recorded update
+        is seen half-done; families keep registration order.
+        """
+        with self._lock:
+            return {
+                name: family.snapshot()
+                for name, family in self._families.items()
+            }
 
     def expose(self) -> str:
-        """The whole registry in Prometheus text format (0.0.4).
+        """The whole registry in Prometheus text format (0.0.4)."""
+        return expose_snapshot(self.snapshot())
 
-        Ends with a trailing newline, as scrapers expect.  The snapshot
-        is per-family consistent; cross-family consistency is not
-        promised (scrapes are not transactions).
-        """
-        lines: list[str] = []
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            lines.extend(family.expose())
-        return "\n".join(lines) + "\n" if lines else ""
+
+# ---------------------------------------------------------------------------
+# Snapshot algebra: merge by kind, drop gauges, relabel, render
+# ---------------------------------------------------------------------------
+
+
+def _add_samples(kind: str, left, right):
+    """``left + right`` for one series; ``left`` None means zero."""
+    if kind != "histogram":
+        return (left or 0) + right
+    if left is None:
+        left = {"counts": [0] * len(right["counts"]), "sum": 0, "count": 0}
+    return {
+        "counts": [a + b for a, b in zip(left["counts"], right["counts"])],
+        "sum": left["sum"] + right["sum"],
+        "count": left["count"] + right["count"],
+    }
+
+
+def merge_snapshots(*snapshots: Snapshot) -> Snapshot:
+    """Add snapshots up, series by series, by family kind.
+
+    Counters, histogram buckets, sums and counts add; so do gauges —
+    the sum over live sources (worker caches' sizes, fan-out widths).
+    Callers fold a *dead* source in through :func:`drop_gauges` first,
+    so its gauges stop counting.  A family's kind, label names and
+    buckets must agree across inputs, else :class:`MetricsError`.
+    Families keep first-seen order; the inputs are not modified.
+    """
+    merged: dict[str, dict] = {}
+    for snapshot in snapshots:
+        for name, family in snapshot.items():
+            kind = family["kind"]
+            shape = [kind, list(family["labelnames"]), family.get("buckets")]
+            into = merged.setdefault(name, dict(
+                family, labelnames=shape[1], series={}
+            ))
+            if shape != [
+                into["kind"], into["labelnames"], into.get("buckets")
+            ]:
+                raise MetricsError(
+                    f"cannot merge metric {name!r}: its kind, labels or "
+                    f"buckets differ between snapshots"
+                )
+            series = into["series"]
+            for labels, value in family["series"]:
+                key = tuple(labels)
+                series[key] = _add_samples(kind, series.get(key), value)
+    for family in merged.values():
+        family["series"] = [[list(k), v] for k, v in family["series"].items()]
+    return merged
+
+
+def snapshot_value(
+    snapshot: Snapshot, name: str, labels: tuple = (), default=0
+):
+    """One series' sample in a snapshot; ``default`` when absent."""
+    family = snapshot.get(name)
+    for key, value in family["series"] if family else ():
+        if tuple(key) == labels:
+            return value
+    return default
+
+
+def read_view(snapshot: Snapshot, view: Mapping[str, tuple]) -> dict:
+    """``{field: int(sample)}`` for a ``{field: (family, labels)}`` view."""
+    return {
+        field: int(snapshot_value(snapshot, name, labels))
+        for field, (name, labels) in view.items()
+    }
+
+
+def drop_gauges(snapshot: Snapshot) -> Snapshot:
+    """``snapshot`` without its gauge families: what a dead source
+    leaves behind (its gauges described a process that is gone)."""
+    return {
+        name: family for name, family in snapshot.items()
+        if family["kind"] != "gauge"
+    }
+
+
+def label_snapshot(snapshot: Snapshot, **labels: str) -> Snapshot:
+    """``snapshot`` with ``labels`` prepended to every series, so that
+    several labeled sources merge side by side (``shard="0"``)."""
+    names, values = list(labels), [str(v) for v in labels.values()]
+    return {
+        name: dict(
+            family,
+            labelnames=names + list(family["labelnames"]),
+            series=[[values + list(k), v] for k, v in family["series"]],
+        )
+        for name, family in snapshot.items()
+    }
+
+
+def expose_snapshot(snapshot: Snapshot) -> str:
+    """A snapshot in Prometheus text format (0.0.4); ends with a
+    trailing newline, as scrapers expect, or is empty."""
+    lines: list[str] = []
+    for name, family in snapshot.items():
+        kind, labelnames = family["kind"], tuple(family["labelnames"])
+        lines.append(f"# HELP {name} {_escape_help(family['help'])}")
+        lines.append(f"# TYPE {name} {kind}")
+        for key, value in family["series"]:
+            labels = _render_labels(labelnames, key)
+            if kind != "histogram":
+                lines.append(f"{name}{labels} {_format_value(value)}")
+                continue
+            cumulative = list(zip(
+                family["buckets"], accumulate(value["counts"])
+            )) + [(math.inf, value["count"])]
+            for bound, running in cumulative:
+                le = _render_labels(
+                    labelnames, key, (("le", _format_value(bound)),)
+                )
+                lines.append(f"{name}_bucket{le} {running}")
+            lines.append(f"{name}_sum{labels} {_format_value(value['sum'])}")
+            lines.append(f"{name}_count{labels} {value['count']}")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,13 @@ class PlannerStats:
     hits: int
     misses: int
     invalidations: int
-    compiled: int
     cache_size: int
     cache_capacity: int
+
+    @property
+    def compiled(self) -> int:
+        """Plans built: every miss and every invalidation builds one."""
+        return self.misses + self.invalidations
 
     @property
     def lookups(self) -> int:
@@ -536,22 +540,23 @@ class QueryPlanner:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.compiled = 0
-        self._m_cache = None
-        self._m_compiled = None
 
     # -- observability -----------------------------------------------------------
 
     def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror the plan-cache counters into ``registry``."""
-        self._m_cache = registry.counter(
+        """Expose the plan-cache counts in ``registry``: it reads the
+        planner's own counts, so :meth:`snapshot` and ``/metrics``
+        always agree and :meth:`reset_counters` zeroes both."""
+        registry.counter(
             "planner_plan_cache_total",
             "Plan-cache lookups by result (hit/miss/invalidated).",
             labelnames=("result",),
+            callback=self._sample_lookups,
         )
-        self._m_compiled = registry.counter(
+        registry.counter(
             "planner_plans_compiled_total",
             "Query plans compiled (cache misses + invalidations).",
+            callback=self._sample_compiled,
         )
         registry.gauge(
             "planner_plan_cache_size",
@@ -559,13 +564,22 @@ class QueryPlanner:
             callback=lambda: float(len(self._cache)),
         )
 
+    def _sample_lookups(self) -> dict[str, int]:
+        return {
+            "hit": self.hits,
+            "miss": self.misses,
+            "invalidated": self.invalidations,
+        }
+
+    def _sample_compiled(self) -> int:
+        return self.misses + self.invalidations
+
     def snapshot(self) -> PlannerStats:
         with self._lock:
             return PlannerStats(
                 hits=self.hits,
                 misses=self.misses,
                 invalidations=self.invalidations,
-                compiled=self.compiled,
                 cache_size=len(self._cache),
                 cache_capacity=self.cache_size,
             )
@@ -574,6 +588,11 @@ class QueryPlanner:
         """Drop every cached plan (counters are kept)."""
         with self._lock:
             self._cache.clear()
+
+    def reset_counters(self) -> None:
+        """Zero the hit/miss/invalidation counts; plans are kept."""
+        with self._lock:
+            self.hits = self.misses = self.invalidations = 0
 
     # -- planning ----------------------------------------------------------------
 
@@ -608,20 +627,15 @@ class QueryPlanner:
             else:
                 self.misses += 1
                 outcome = "miss"
-        if self._m_cache is not None:
-            self._m_cache.labels(result=outcome).inc()
         if plan is None:
             plan = _build_plan(
                 store, patterns, filters, initial_vars, shape
             )
             with self._lock:
-                self.compiled += 1
                 self._cache[key] = (epoch, plan)
                 self._cache.move_to_end(key)
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-            if self._m_compiled is not None:
-                self._m_compiled.inc()
         steps = [
             _compile_step(
                 store,

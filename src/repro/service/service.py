@@ -17,13 +17,14 @@ service adds the serving layer the paper's demo never needed:
   (request counters, cache hit rate, per-stage latency aggregates) for
   the admin monitor.
 
-Every counter and latency distribution lives in a
+Every counter and latency distribution is read through one
 :class:`~repro.obs.metrics.MetricsRegistry` (injectable; a private one
 is built if omitted), exposed in Prometheus text format via
-``registry.expose()``.  :meth:`stats` is a *compatibility view* derived
-from the registry — the two can never disagree, because there is only
-one set of numbers.  Request accounting distinguishes four disjoint
-outcomes::
+``registry.expose()``.  The cache and the planner keep their own counts
+and the registry reads them at snapshot time, so each event is counted
+once; :meth:`stats` is :meth:`ServiceStats.from_snapshot` of the same
+snapshot ``/metrics`` renders.  Request accounting distinguishes four
+disjoint outcomes::
 
     requests == translated + served_from_cache + deduplicated + errors
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.pipeline import NL2CM, TranslationResult, TranslationTrace
@@ -54,7 +55,12 @@ from repro.errors import (
     ReproError,
     UnexpectedTranslationError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    Snapshot,
+    read_view,
+    snapshot_value,
+)
 from repro.obs.slowlog import SlowQueryLog
 from repro.resilience import (
     FlakyInteraction,
@@ -72,6 +78,44 @@ __all__ = [
 #: Stage name under which a request's orchestration glue (the root
 #: span's self-time: span bookkeeping, artifact wiring) is accounted.
 OVERHEAD_STAGE = "pipeline-overhead"
+
+#: Integer :class:`ServiceStats` fields, and the registry series each
+#: one reads: ``field: (family name, label values)``.
+_COUNT_VIEW = {
+    "requests": ("nl2cm_requests_total", ()),
+    "translated": ("nl2cm_request_outcomes_total", ("translated",)),
+    "served_from_cache": ("nl2cm_request_outcomes_total", ("cache_hit",)),
+    "deduplicated": ("nl2cm_request_outcomes_total", ("deduplicated",)),
+    "errors": ("nl2cm_request_outcomes_total", ("error",)),
+    "batches": ("nl2cm_batches_total", ()),
+    "batch_questions": ("nl2cm_batch_questions_total", ()),
+    "workers": ("nl2cm_workers", ()),
+    "lint_errors": ("nl2cm_lint_diagnostics_total", ("error",)),
+    "lint_warnings": ("nl2cm_lint_diagnostics_total", ("warning",)),
+    "lint_infos": ("nl2cm_lint_diagnostics_total", ("info",)),
+    "kb_lint_errors": ("nl2cm_kb_lint_diagnostics", ("error",)),
+    "kb_lint_warnings": ("nl2cm_kb_lint_diagnostics", ("warning",)),
+    "kb_lint_infos": ("nl2cm_kb_lint_diagnostics", ("info",)),
+    "slow_queries": ("nl2cm_slow_queries_total", ()),
+    "degraded": ("repro_degraded_total", ()),
+    "retries": ("nl2cm_retries_total", ()),
+    "breaker_rejections": ("nl2cm_breaker_rejections_total", ()),
+    "plan_cache_hits": ("planner_plan_cache_total", ("hit",)),
+    "plan_cache_misses": ("planner_plan_cache_total", ("miss",)),
+    "plan_cache_invalidations": ("planner_plan_cache_total", ("invalidated",)),
+    "plans_compiled": ("planner_plans_compiled_total", ()),
+}
+
+#: :class:`CacheStats` fields, same shape as :data:`_COUNT_VIEW`.
+_CACHE_VIEW = {
+    "hits": ("nl2cm_cache_lookups_total", ("hit",)),
+    "misses": ("nl2cm_cache_lookups_total", ("miss",)),
+    "evictions": ("nl2cm_cache_evictions_total", ()),
+    "size": ("nl2cm_cache_size", ()),
+    "capacity": ("nl2cm_cache_capacity", ()),
+    "insertions": ("nl2cm_cache_insertions_total", ()),
+    "warmed": ("nl2cm_cache_warmed_total", ()),
+}
 
 
 @dataclass(frozen=True)
@@ -95,13 +139,12 @@ class StageStat:
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """A point-in-time snapshot of the service's counters.
+    """A point-in-time view of the service's counters.
 
-    Derived from the service's metrics registry under the service lock,
-    with the cache counters read *after* the request counters — so the
-    snapshot can never show ``served_from_cache > cache hits`` (every
-    counted cache-served request incremented the cache's hit counter
-    first).
+    Computed by :meth:`from_snapshot` from a metrics-registry snapshot —
+    one service's, or several merged (a shard's lifetime, a whole
+    sharded tier) — so ``stats()`` and ``/metrics`` read the same
+    numbers.
 
     Attributes:
         requests: translation requests served (all outcomes).
@@ -208,6 +251,36 @@ class ServiceStats:
     @property
     def cache_hit_rate(self) -> float:
         return self.cache.hit_rate if self.cache else 0.0
+
+    @classmethod
+    def from_snapshot(cls, snapshot: Snapshot) -> "ServiceStats":
+        """The view of a registry snapshot: missing series read as zero
+        (an empty snapshot is the all-zero view), stages merge by name,
+        and ``cache`` is None when no cache was bound."""
+        stages: dict[str, StageStat] = {}
+        family = snapshot.get("nl2cm_stage_seconds", {"series": []})
+        for (stage, kind), sample in family["series"]:
+            seen = stages.get(stage, StageStat(0.0, 0, kind == "leaf"))
+            stages[stage] = StageStat(
+                total_seconds=seen.total_seconds + sample["sum"],
+                count=seen.count + sample["count"],
+                leaf=seen.leaf,
+            )
+        cache = None
+        if "nl2cm_cache_lookups_total" in snapshot:
+            cache = CacheStats(**read_view(snapshot, _CACHE_VIEW))
+        busy = snapshot_value(
+            snapshot, "nl2cm_translate_seconds", default={"sum": 0.0}
+        )
+        return cls(
+            batch_seconds=float(
+                snapshot_value(snapshot, "nl2cm_batch_seconds_total")
+            ),
+            busy_seconds=float(busy["sum"]),
+            stages=stages,
+            cache=cache,
+            **read_view(snapshot, _COUNT_VIEW),
+        )
 
 
 class _SeededTrace:
@@ -344,21 +417,21 @@ class TranslationService:
 
     def _build_metrics(self) -> None:
         r = self.registry
-        self._m_requests = r.counter(
+        self._c_requests = r.counter(
             "nl2cm_requests_total",
             "Translation requests served (all outcomes).",
-        )
-        self._m_outcomes = r.counter(
+        ).labels()
+        outcomes = r.counter(
             "nl2cm_request_outcomes_total",
             "Requests by outcome: translated, cache_hit, deduplicated, "
             "error.  Sums to nl2cm_requests_total.",
             labelnames=("outcome",),
         )
-        self._m_translate = r.histogram(
+        self._h_translate = r.histogram(
             "nl2cm_translate_seconds",
             "Wall-clock seconds per fresh pipeline translation "
             "(the trace's root span).",
-        )
+        ).labels()
         self._m_stage = r.histogram(
             "nl2cm_stage_seconds",
             "Per-stage self-time of fresh translations; kind is 'leaf' "
@@ -383,7 +456,8 @@ class TranslationService:
             "QueryLint diagnostics across fresh translations.",
             labelnames=("severity",),
         )
-        self._m_kb_lint = r.gauge(
+        kb_report = getattr(self.nl2cm, "kb_lint_report", None)
+        r.gauge(
             "nl2cm_kb_lint_diagnostics",
             "Construction-time knowledge-base lint diagnostics of the "
             "shared translator (ontology + pattern bank), by severity. "
@@ -391,8 +465,8 @@ class TranslationService:
             "translator, so this mirrors that report, it does not "
             "accumulate.",
             labelnames=("severity",),
+            callback=kb_report.counts if kb_report is not None else None,
         )
-        self._apply_kb_lint_gauges()
         self._m_slow = r.counter(
             "nl2cm_slow_queries_total",
             "Translations retained by the slow-query log.",
@@ -425,19 +499,14 @@ class TranslationService:
             "Configured batch fan-out width.",
             callback=lambda: float(self.workers),
         )
-        # Hot-path child handles: skip the labels() validation on every
-        # request.  Safe across reset_stats() because registry.reset()
-        # zeroes children in place rather than dropping them.
-        self._c_requests = self._m_requests.labels()
-        self._c_translated = self._m_outcomes.labels(
-            outcome="translated"
-        )
-        self._c_cache_hit = self._m_outcomes.labels(outcome="cache_hit")
-        self._c_deduplicated = self._m_outcomes.labels(
-            outcome="deduplicated"
-        )
-        self._c_error = self._m_outcomes.labels(outcome="error")
-        self._h_translate = self._m_translate.labels()
+        # Hot-path child handles (the _c_/_h_ ones above too): skip the
+        # labels() validation on every request.  Safe across
+        # reset_stats() because registry.reset() zeroes children in
+        # place rather than dropping them.
+        self._c_translated = outcomes.labels(outcome="translated")
+        self._c_cache_hit = outcomes.labels(outcome="cache_hit")
+        self._c_deduplicated = outcomes.labels(outcome="deduplicated")
+        self._c_error = outcomes.labels(outcome="error")
         self._stage_children: dict[tuple[str, str], object] = {}
 
     # -- single-question path -------------------------------------------------------
@@ -583,20 +652,6 @@ class TranslationService:
                 child = self._m_stage.labels(stage=stage, kind=kind)
                 self._stage_children[(stage, kind)] = child
             child.observe(self_time)
-
-    def _apply_kb_lint_gauges(self) -> None:
-        """Mirror the translator's KB lint report into the registry.
-
-        Re-applied after :meth:`reset_stats` (a registry reset zeroes
-        gauges, but the construction-time report still stands).
-        """
-        report = getattr(self.nl2cm, "kb_lint_report", None)
-        for severity, count in (
-            ("error", len(report.errors) if report else 0),
-            ("warning", len(report.warnings) if report else 0),
-            ("info", len(report.infos) if report else 0),
-        ):
-            self._m_kb_lint.labels(severity=severity).set(count)
 
     def _count_lint(self, report) -> None:
         for severity, diagnostics in (
@@ -796,80 +851,29 @@ class TranslationService:
 
     # -- stats ---------------------------------------------------------------------------
 
-    def stats(self) -> ServiceStats:
-        """A consistent snapshot, derived from the metrics registry.
-
-        Taken under the service lock, so grouped counter updates are
-        never observed half-done; the cache counters are read *after*
-        the request counters (still under the lock), which guarantees
-        ``served_from_cache <= cache.hits`` in every snapshot.
-        """
+    def snapshot(self) -> Snapshot:
+        """The registry snapshot, taken under the service lock: a request
+        and its outcome are never seen half-counted, and a cache hit is
+        counted before its outcome, so ``served_from_cache <= hits``."""
         with self._lock:
-            outcome = self._m_outcomes.value
-            stages: dict[str, StageStat] = {}
-            for labels, child in self._m_stage.children():
-                stages[labels["stage"]] = StageStat(
-                    total_seconds=child.sum,
-                    count=child.count,
-                    leaf=labels["kind"] == "leaf",
-                )
-            snapshot = dict(
-                requests=int(self._m_requests.value()),
-                translated=int(outcome(outcome="translated")),
-                served_from_cache=int(outcome(outcome="cache_hit")),
-                deduplicated=int(outcome(outcome="deduplicated")),
-                errors=int(outcome(outcome="error")),
-                batches=int(self._m_batches.value()),
-                batch_questions=int(self._m_batch_questions.value()),
-                batch_seconds=self._m_batch_seconds.value(),
-                busy_seconds=self._m_translate.sum(),
-                stages=stages,
-                lint_errors=int(self._m_lint.value(severity="error")),
-                lint_warnings=int(
-                    self._m_lint.value(severity="warning")
-                ),
-                lint_infos=int(self._m_lint.value(severity="info")),
-                kb_lint_errors=int(
-                    self._m_kb_lint.value(severity="error")
-                ),
-                kb_lint_warnings=int(
-                    self._m_kb_lint.value(severity="warning")
-                ),
-                kb_lint_infos=int(
-                    self._m_kb_lint.value(severity="info")
-                ),
-                slow_queries=int(self._m_slow.value()),
-                degraded=int(self._m_degraded.value()),
-                retries=int(self._m_retries.value()),
-                breaker_rejections=int(
-                    self._m_breaker_rejections.value()
-                ),
-            )
-            plans = self.nl2cm.planner.snapshot()
-            snapshot.update(
-                plan_cache_hits=plans.hits,
-                plan_cache_misses=plans.misses,
-                plan_cache_invalidations=plans.invalidations,
-                plans_compiled=plans.compiled,
-            )
-            cache_stats = (
-                self.cache.stats() if self.cache is not None else None
-            )
-        return ServiceStats(
-            cache=cache_stats, workers=self.workers, **snapshot
-        )
+            return self.registry.snapshot()
+
+    def stats(self) -> ServiceStats:
+        """:meth:`snapshot`, viewed as a :class:`ServiceStats`."""
+        return ServiceStats.from_snapshot(self.snapshot())
 
     def reset_stats(self) -> None:
-        """Zero the counters (cache contents are kept).
+        """Zero the counters (cache entries and cached plans are kept).
 
-        Resets the **whole** bound registry — with an injected shared
-        registry this includes any other component recording into it.
+        Zeroes the **whole** bound registry's stored values — with an
+        injected shared registry, other components' too — plus the
+        counts the cache and the translator's planner keep themselves.
         """
         with self._lock:
             self.registry.reset()
-            self._apply_kb_lint_gauges()
         if self.cache is not None:
             self.cache.reset_counters()
+        self.nl2cm.planner.reset_counters()
         if self.slow_log is not None:
             self.slow_log.clear()
 

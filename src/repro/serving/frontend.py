@@ -18,8 +18,10 @@ endpoint                 semantics
                          ``?format=panel`` for the admin-panel text render)
 ``GET /healthz``         200 with per-shard liveness while every worker is
                          alive, 503 otherwise (load-balancer probe shape)
-``GET /metrics``         Prometheus text exposition of the shared registry
-                         (serving + HTTP series in one scrape)
+``GET /metrics``         Prometheus text exposition: the manager's serving
+                         + HTTP series, then every shard's worker series
+                         (``nl2cm_*``, ``planner_*``) labeled ``shard``,
+                         as the last ``/stats`` probe saw them
 =======================  ====================================================
 
 Serving-layer outcomes map onto status codes the way an operator
@@ -425,7 +427,7 @@ class HTTPFrontend:
         )
 
     def _get_metrics(self, handler) -> int:
-        body = self.manager.registry.expose().encode("utf-8")
+        body = self.manager.expose().encode("utf-8")
         return self._send_bytes(
             handler, 200, body, METRICS_CONTENT_TYPE
         )

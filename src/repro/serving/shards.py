@@ -72,18 +72,16 @@ from repro.errors import (
     ShardTimeoutError,
     WorkerCrashedError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.config import WorkerSpec
 from repro.serving.frames import FrameChannel
 from repro.serving.hashring import HashRing
 from repro.serving.stats import (
     ServingStats,
+    ShardHistory,
     ShardSnapshot,
-    carry_baseline,
-    empty_service_stats,
-    merge_service_stats,
-    service_stats_from_dict,
+    expose_shards,
 )
 from repro.serving.worker import _process_entry, worker_main
 from repro.service.cache import TranslationCache
@@ -167,31 +165,25 @@ class RemoteOutcome:
 class _AdmissionGate:
     """A bounded pending counter; full means shed, never queue."""
 
-    def __init__(self, capacity: int, gauge=None):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._depth = 0
-        self._gauge = gauge
 
     def try_enter(self) -> bool:
         with self._lock:
             if self._depth >= self.capacity:
                 return False
             self._depth += 1
-            if self._gauge is not None:
-                self._gauge.set(float(self._depth))
             return True
 
     def exit(self) -> None:
         with self._lock:
             self._depth -= 1
-            if self._gauge is not None:
-                self._gauge.set(float(self._depth))
 
     @property
     def depth(self) -> int:
-        with self._lock:
-            return self._depth
+        return self._depth  # one int read: safe without the lock
 
 
 class _ShadowIndex:
@@ -357,21 +349,11 @@ class ShardManager:
         self._shadow = _ShadowIndex(
             capacity=max(256, self.warmup_keys * shards * 4)
         ) if self.warmup_keys else None
-        # Per-shard carry-forward stats: the summed counters of a
-        # shard's dead predecessors (gauges zeroed), plus the live
-        # worker's last successfully probed snapshot.  Both are only
-        # written under self._lock; _restart_locked folds last_seen
-        # into carry atomically, so carry[i] + last_seen[i] is monotone
-        # non-decreasing per counter field across restarts.
-        self._carry = [empty_service_stats() for _ in range(shards)]
-        self._last_seen = [empty_service_stats() for _ in range(shards)]
+        # Per-shard carry-forward metrics, only touched under self._lock;
+        # _restart_locked folds atomically, so no counter moves backwards.
+        self._history = [ShardHistory() for _ in range(shards)]
+        self._gates = [_AdmissionGate(max_pending) for _ in range(shards)]
         self._build_metrics(shards)
-        self._gates = [
-            _AdmissionGate(
-                max_pending, self._m_pending.labels(shard=str(i))
-            )
-            for i in range(shards)
-        ]
         self._pool = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="shard-dispatch"
         )
@@ -438,11 +420,12 @@ class ShardManager:
             "Cache entries replayed into replacement workers by the "
             "warm-restart protocol.",
         ).labels()
-        self._m_pending = r.gauge(
+        r.gauge(
             "serving_pending",
             "Requests queued or in flight per shard; admission control "
             "sheds above max_pending.",
             labelnames=("shard",),
+            callback=self._sample_pending,
         )
         r.gauge(
             "serving_shards",
@@ -456,6 +439,9 @@ class ShardManager:
                 sum(1 for h in self._handles if h.alive())
             ),
         )
+
+    def _sample_pending(self) -> dict[str, int]:
+        return {str(i): gate.depth for i, gate in enumerate(self._gates)}
 
     # -- worker lifecycle ------------------------------------------------------
 
@@ -555,15 +541,11 @@ class ShardManager:
         handle.restarts += 1
         with self._lock:
             self._c_restarts.inc()
-            # Fold the dead worker's history into the baseline.  The
+            # Fold the dead worker's counters into the baseline.  The
             # caller holds handle.lock, so no stats probe of this shard
-            # can interleave between the fold and the reset — the sum
-            # carry + last_seen never moves backwards.
-            self._carry[handle.shard] = merge_service_stats([
-                self._carry[handle.shard],
-                carry_baseline(self._last_seen[handle.shard]),
-            ])
-            self._last_seen[handle.shard] = empty_service_stats()
+            # can interleave with the fold — the shard's view never
+            # moves backwards.
+            self._history[handle.shard].fold()
         self._launch(handle)
         channel, pid, fingerprint = self._accept_hello(handle.shard)
         handle.channel = channel
@@ -764,14 +746,15 @@ class ShardManager:
                     # never land *after* its own epoch was folded (which
                     # would double-count it).
                     try:
-                        parsed = service_stats_from_dict(
-                            reply.get("stats") or {}
-                        )
-                    except (TypeError, ValueError, KeyError):
+                        parsed = merge_snapshots(reply.get("stats") or {})
+                    except (
+                        AttributeError, KeyError, TypeError, ValueError,
+                        ReproError,
+                    ):
                         parsed = None  # malformed snapshot: keep the old
                     if parsed is not None:
                         with self._lock:
-                            self._last_seen[handle.shard] = parsed
+                            self._history[handle.shard].last_seen = parsed
                 return reply
         raise WorkerCrashedError(  # pragma: no cover - loop always exits
             f"shard {handle.shard} dispatch failed: {last_error}",
@@ -1060,48 +1043,36 @@ class ShardManager:
         for handle in self._handles:
             try:
                 # The reply is consumed inside _roundtrip: a successful
-                # stats probe updates _last_seen under the handle lock.
+                # stats probe updates the shard's history there.
                 self._roundtrip(handle, {"op": "stats"}, timeout)
                 alive = True
             except ReproError:
                 alive = False
             with self._lock:
-                shard_stats = merge_service_stats([
-                    self._carry[handle.shard],
-                    self._last_seen[handle.shard],
-                ])
+                metrics = self._history[handle.shard].view()
             snapshots.append(ShardSnapshot(
                 shard=handle.shard,
                 pid=handle.pid,
                 alive=alive and handle.alive(),
                 pending=self._gates[handle.shard].depth,
                 restarts=handle.restarts,
-                stats=shard_stats,
+                metrics=metrics,
             ))
-        with self._lock:
-            shed_queue = int(self._c_shed_queue.value)
-            shed_breaker = int(self._c_shed_breaker.value)
-            dispatch_errors = int(self._c_dispatch_errors.value)
-            deadline_expired = int(self._c_deadline.value)
-            restarts = int(self._c_restarts.value)
-            warmups_ok = int(self._c_warmup_ok.value)
-            warmups_empty = int(self._c_warmup_empty.value)
-            warmups_failed = int(self._c_warmup_failed.value)
-            warmup_entries = int(self._c_warmup_entries.value)
-        return ServingStats(
-            shards=tuple(snapshots),
-            total=merge_service_stats([s.stats for s in snapshots]),
-            shed=shed_queue + shed_breaker,
-            shed_queue_full=shed_queue,
-            shed_breaker_open=shed_breaker,
-            dispatch_errors=dispatch_errors,
-            deadline_expired=deadline_expired,
-            restarts=restarts,
-            cache_warmups_ok=warmups_ok,
-            cache_warmups_empty=warmups_empty,
-            cache_warmups_failed=warmups_failed,
-            cache_warmup_entries=warmup_entries,
+        return ServingStats.from_snapshot(
+            tuple(snapshots), self.registry.snapshot()
         )
+
+    def expose(self) -> str:
+        """The tier's Prometheus text: the manager's own series, then
+        every shard's lifetime series labeled with its ``shard``.
+
+        The shard series are what the last :meth:`stats` probe saw; a
+        scrape sends no probe, so it never waits on a busy or wedged
+        worker, never trips a breaker, and answers while draining.
+        """
+        with self._lock:
+            views = [history.view() for history in self._history]
+        return self.registry.expose() + expose_shards(views)
 
     # -- shutdown --------------------------------------------------------------
 

@@ -1,12 +1,15 @@
-"""Cross-shard statistics: serialization, merging, and the global view.
+"""Cross-shard statistics: carry-forward, the global view, the identity.
 
-Each worker answers a ``stats`` frame with its own
-:class:`~repro.service.service.ServiceStats` snapshot (internally
-consistent — taken under the worker's service lock).  The shard
-manager stitches those into one :class:`ServingStats`: the per-shard
-snapshots, the merged total, and the front-end-only counters (shed,
-dispatch errors, deadline expiries, restarts) that no worker can know
-about.
+Each worker answers a ``stats`` frame with its metrics-registry
+snapshot, taken under its service lock.  The shard manager keeps one
+:class:`ShardHistory` per shard and stitches them into one
+:class:`ServingStats`: per-shard snapshots, their merged total, and the
+front-end counters (shed, dispatch errors, deadline expiries, restarts)
+no worker can know about.  Every view here is computed by one function
+(:meth:`~repro.service.service.ServiceStats.from_snapshot`,
+:meth:`ServingStats.from_snapshot`) and every merge is
+:func:`~repro.obs.metrics.merge_snapshots`, which goes by metric kind —
+so a new metric cannot be forgotten in a merge.
 
 The serving-level counter identity extends the service one::
 
@@ -14,201 +17,91 @@ The serving-level counter identity extends the service one::
                 + errors + shed
 
 ``requests`` and ``errors`` are *derived* (worker sums plus front-end
-counters), never sampled independently — so the identity holds in
-every snapshot by construction, provided each worker snapshot is
-internally consistent and the front-end counters are read once.  A
-request that timed out at the front-end but completes in the worker is
-counted by the worker (as whatever outcome it reached) and tracked in
+counters), never sampled independently, so the identity holds in every
+snapshot by construction.  A request that timed out at the front-end
+but completes in the worker is counted by the worker and tracked in
 ``deadline_expired`` separately.  A worker restart loses the dead
-process's registry, but the manager keeps per-shard **carry-forward**
-baselines (the last snapshot seen before the crash, gauge fields
-zeroed via :func:`carry_baseline`) and folds them into every later
-snapshot — so the merged counters are monotone non-decreasing across
-restarts, as Prometheus counter semantics require; ``restarts``
-records how often that happened.
+process's registry, but the shard's history folds it into a
+**carry-forward** baseline — ``carry = merge(carry,
+drop_gauges(last_seen))`` — so merged counters are monotone
+non-decreasing across restarts while only live workers' gauges count.
 
-Zero-traffic edges are first-class here: a fresh shard, an all-shed
-interval or an empty manager must merge to a snapshot whose derived
-rates (``mean_translation_ms``, ``batch_throughput_qps``, hit rates)
-are ``0.0``, never a ``ZeroDivisionError`` — the merge tests pin each
-of these down.
+Zero-traffic edges are first-class: a fresh shard, an all-shed interval
+or an empty manager merges to a view whose derived rates are ``0.0``,
+never a ``ZeroDivisionError`` — the merge tests pin each down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
-from repro.service.cache import CacheStats
-from repro.service.service import ServiceStats, StageStat
-
-__all__ = [
-    "ServingStats",
-    "ShardSnapshot",
-    "carry_baseline",
-    "merge_service_stats",
-    "service_stats_from_dict",
-    "service_stats_to_dict",
-]
-
-#: ServiceStats fields merged by plain summation.
-_SUM_FIELDS = (
-    "requests", "translated", "served_from_cache", "deduplicated",
-    "errors", "batches", "batch_questions", "batch_seconds",
-    "busy_seconds", "workers", "lint_errors", "lint_warnings",
-    "lint_infos", "kb_lint_errors", "kb_lint_warnings", "kb_lint_infos",
-    "slow_queries", "degraded", "retries", "breaker_rejections",
-    "plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations",
-    "plans_compiled",
+from repro.obs.metrics import (
+    Snapshot,
+    drop_gauges,
+    expose_snapshot,
+    label_snapshot,
+    merge_snapshots,
+    read_view,
 )
+from repro.service.service import ServiceStats
 
-_CACHE_FIELDS = (
-    "hits", "misses", "evictions", "size", "capacity", "insertions",
-    "warmed",
-)
+__all__ = ["ServingStats", "ShardHistory", "ShardSnapshot", "expose_shards"]
 
-#: ServiceStats fields that are gauges, not counters: summing them
-#: across a dead worker's baseline and its replacement's live snapshot
-#: would double-count (two capacities for one cache, two kb-lint
-#: reports for one KB).  :func:`carry_baseline` zeroes these.
-_GAUGE_FIELDS = (
-    "workers", "kb_lint_errors", "kb_lint_warnings", "kb_lint_infos",
-)
-
-
-def empty_service_stats() -> ServiceStats:
-    """An all-zero snapshot (what a dead or brand-new shard reports)."""
-    zeros = {name: 0 for name in _SUM_FIELDS}
-    zeros["batch_seconds"] = 0.0
-    zeros["busy_seconds"] = 0.0
-    return ServiceStats(stages={}, cache=None, **zeros)
+#: Front-end :class:`ServingStats` fields, and the manager-registry
+#: series each one reads: ``field: (family name, label values)``.
+_FRONTEND_VIEW = {
+    "shed_queue_full": ("serving_shed_total", ("queue_full",)),
+    "shed_breaker_open": ("serving_shed_total", ("breaker_open",)),
+    "dispatch_errors": ("serving_dispatch_errors_total", ()),
+    "deadline_expired": ("serving_deadline_expired_total", ()),
+    "restarts": ("serving_worker_restarts_total", ()),
+    "cache_warmups_ok": ("serving_cache_warmup_total", ("ok",)),
+    "cache_warmups_empty": ("serving_cache_warmup_total", ("empty",)),
+    "cache_warmups_failed": ("serving_cache_warmup_total", ("failed",)),
+    "cache_warmup_entries": ("serving_cache_warmup_entries_total", ()),
+}
 
 
-def service_stats_to_dict(stats: ServiceStats) -> dict:
-    """A JSON-safe rendering of one snapshot (the ``stats`` frame body)."""
-    out = {name: getattr(stats, name) for name in _SUM_FIELDS}
-    out["stages"] = {
-        name: {
-            "total_seconds": stage.total_seconds,
-            "count": stage.count,
-            "leaf": stage.leaf,
-        }
-        for name, stage in stats.stages.items()
-    }
-    out["cache"] = (
-        {name: getattr(stats.cache, name) for name in _CACHE_FIELDS}
-        if stats.cache is not None else None
-    )
-    return out
+class ShardHistory:
+    """One shard's lifetime metrics: ``carry`` holds its dead workers'
+    counters, ``last_seen`` the live worker's last probed snapshot.
+    Not thread-safe: the shard manager guards it with its lock."""
+
+    def __init__(self) -> None:
+        self.carry: Snapshot = {}
+        self.last_seen: Snapshot = {}
+
+    def fold(self) -> None:
+        """The live worker died: its counters join the baseline, its
+        gauges (which described a process that is gone) are dropped."""
+        self.carry = merge_snapshots(self.carry, drop_gauges(self.last_seen))
+        self.last_seen = {}
+
+    def view(self) -> Snapshot:
+        """The shard's lifetime snapshot: baseline plus live worker."""
+        return merge_snapshots(self.carry, self.last_seen)
 
 
-def service_stats_from_dict(payload: dict) -> ServiceStats:
-    """Rebuild a snapshot from a ``stats`` frame body.
-
-    Missing keys default to zero, so a newer front-end reading an older
-    worker's snapshot degrades gracefully instead of crashing.
-    """
-    kwargs = {
-        name: payload.get(name, 0) for name in _SUM_FIELDS
-    }
-    stages = {
-        name: StageStat(
-            total_seconds=float(entry.get("total_seconds", 0.0)),
-            count=int(entry.get("count", 0)),
-            leaf=bool(entry.get("leaf", True)),
-        )
-        for name, entry in (payload.get("stages") or {}).items()
-    }
-    cache_payload = payload.get("cache")
-    cache = (
-        CacheStats(**{
-            name: int(cache_payload.get(name, 0))
-            for name in _CACHE_FIELDS
-        })
-        if cache_payload is not None else None
-    )
-    return ServiceStats(stages=stages, cache=cache, **kwargs)
-
-
-def carry_baseline(stats: ServiceStats) -> ServiceStats:
-    """A dead worker's snapshot, reduced to what must be carried.
-
-    Counters (requests, outcomes, cache hits, accumulated seconds,
-    stage aggregates) are the history a restart must not erase — they
-    carry forward verbatim.  Gauge-like fields describe the *current*
-    process, which no longer exists: the replacement worker reports its
-    own cache size/capacity, fan-out width and KB-lint mirror, so the
-    baseline zeroes them to keep the merged view from double-counting.
-    """
-    cache = stats.cache
-    if cache is not None:
-        cache = CacheStats(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            size=0,
-            capacity=0,
-            insertions=cache.insertions,
-            warmed=cache.warmed,
-        )
-    return replace(
-        stats, cache=cache, **{name: 0 for name in _GAUGE_FIELDS}
-    )
-
-
-def merge_service_stats(parts: list[ServiceStats]) -> ServiceStats:
-    """Sum per-shard snapshots into one service-level total.
-
-    Counters and accumulated seconds add; per-stage aggregates merge by
-    stage name (self-times still tile each shard's busy time, so the
-    merged stage totals tile the merged ``busy_seconds``).  Cache
-    counters add when *any* shard has a cache — capacity and size sum,
-    which keeps ``hit_rate`` meaningful as the traffic-weighted global
-    rate; with no caches anywhere the merged snapshot has ``cache=None``
-    like a cache-less service.  An empty ``parts`` list merges to the
-    all-zero snapshot, on which every derived rate is ``0.0`` (the
-    guards in :class:`ServiceStats` and :class:`CacheStats` divide only
-    behind non-zero checks — the merge tests cover each property).
-    """
-    totals = {name: 0 for name in _SUM_FIELDS}
-    totals["batch_seconds"] = 0.0
-    totals["busy_seconds"] = 0.0
-    stages: dict[str, StageStat] = {}
-    cache_totals = {name: 0 for name in _CACHE_FIELDS}
-    any_cache = False
-    for part in parts:
-        for name in _SUM_FIELDS:
-            totals[name] += getattr(part, name)
-        for name, stage in part.stages.items():
-            seen = stages.get(name)
-            if seen is None:
-                stages[name] = stage
-            else:
-                stages[name] = StageStat(
-                    total_seconds=seen.total_seconds + stage.total_seconds,
-                    count=seen.count + stage.count,
-                    # A stage that is a leaf in one shard is a leaf in
-                    # all (the pipeline shape is identical); keep the
-                    # first sighting.
-                    leaf=seen.leaf,
-                )
-        if part.cache is not None:
-            any_cache = True
-            for name in _CACHE_FIELDS:
-                cache_totals[name] += getattr(part.cache, name)
-    cache = CacheStats(**cache_totals) if any_cache else None
-    return ServiceStats(stages=stages, cache=cache, **totals)
+def expose_shards(views: list[Snapshot]) -> str:
+    """Shard ``i``'s lifetime snapshot ``views[i]`` for every shard, in
+    Prometheus text format, each series labeled with its ``shard``."""
+    return expose_snapshot(merge_snapshots(*(
+        label_snapshot(view, shard=str(shard))
+        for shard, view in enumerate(views)
+    )))
 
 
 @dataclass(frozen=True)
 class ShardSnapshot:
     """One shard's worker, as the manager saw it at snapshot time.
 
-    ``stats`` is the shard's *lifetime* view: the carry-forward
-    baseline of its dead predecessors plus the live worker's last
-    probed snapshot.  ``alive=False`` means the probe failed (worker
-    crashed or restarting); the shard still participates in the merge
-    with whatever was last known, so the global identity keeps holding
-    and no counter ever moves backwards.
+    ``metrics`` is the shard's *lifetime* registry snapshot
+    (:meth:`ShardHistory.view`) and ``stats`` its :class:`ServiceStats`
+    view.  ``alive=False`` means the probe failed (worker crashed or
+    restarting); the shard still participates in the merge with
+    whatever was last known, so the global identity keeps holding and
+    no counter ever moves backwards.
     """
 
     shard: int
@@ -216,7 +109,11 @@ class ShardSnapshot:
     alive: bool
     pending: int
     restarts: int
-    stats: ServiceStats
+    metrics: Snapshot
+
+    @cached_property
+    def stats(self) -> ServiceStats:
+        return ServiceStats.from_snapshot(self.metrics)
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +122,7 @@ class ShardSnapshot:
             "alive": self.alive,
             "pending": self.pending,
             "restarts": self.restarts,
-            "stats": service_stats_to_dict(self.stats),
+            "stats": asdict(self.stats),
         }
 
 
@@ -234,9 +131,8 @@ class ServingStats:
     """The global serving view: per-shard snapshots + front-end counters.
 
     Attributes:
-        shards: one :class:`ShardSnapshot` per shard, in shard order.
-        total: the merged :class:`ServiceStats` across shards.
-        shed: requests rejected by admission control (all reasons).
+        shards: one :class:`ShardSnapshot` per shard, in shard order;
+            :attr:`total` is their merged :class:`ServiceStats`.
         shed_queue_full: sheds due to a full per-shard pending queue.
         shed_breaker_open: sheds due to an open dispatch breaker.
         dispatch_errors: requests that died at the front-end with no
@@ -258,8 +154,6 @@ class ServingStats:
     """
 
     shards: tuple[ShardSnapshot, ...]
-    total: ServiceStats
-    shed: int = 0
     shed_queue_full: int = 0
     shed_breaker_open: int = 0
     dispatch_errors: int = 0
@@ -269,6 +163,28 @@ class ServingStats:
     cache_warmups_empty: int = 0
     cache_warmups_failed: int = 0
     cache_warmup_entries: int = 0
+
+    @classmethod
+    def from_snapshot(
+        cls, shards: tuple[ShardSnapshot, ...], snapshot: Snapshot
+    ) -> "ServingStats":
+        """The tier view: ``shards`` plus the front-end counters read
+        from the shard manager's own registry ``snapshot``."""
+        return cls(
+            shards=tuple(shards), **read_view(snapshot, _FRONTEND_VIEW)
+        )
+
+    @cached_property
+    def total(self) -> ServiceStats:
+        """The shards' lifetime snapshots merged, as one view."""
+        return ServiceStats.from_snapshot(
+            merge_snapshots(*(shard.metrics for shard in self.shards))
+        )
+
+    @property
+    def shed(self) -> int:
+        """Requests rejected by admission control (all reasons)."""
+        return self.shed_queue_full + self.shed_breaker_open
 
     @property
     def requests(self) -> int:
@@ -305,29 +221,13 @@ class ServingStats:
             "accounted": self.accounted,
             "identity_holds": self.requests == self.accounted,
             "shed": self.shed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_breaker_open": self.shed_breaker_open,
+            **{field: getattr(self, field) for field in _FRONTEND_VIEW},
             "shed_rate": self.shed_rate,
-            "dispatch_errors": self.dispatch_errors,
-            "deadline_expired": self.deadline_expired,
-            "restarts": self.restarts,
-            "cache_warmups_ok": self.cache_warmups_ok,
-            "cache_warmups_empty": self.cache_warmups_empty,
-            "cache_warmups_failed": self.cache_warmups_failed,
-            "cache_warmup_entries": self.cache_warmup_entries,
             "alive_shards": self.alive_shards,
-            "total": service_stats_to_dict(self.total),
+            "total": asdict(self.total),
             "mean_translation_ms": self.total.mean_translation_ms,
             "batch_throughput_qps": self.total.batch_throughput_qps,
             "cache_hit_rate": self.total.cache_hit_rate,
             "plan_cache_hit_rate": self.total.plan_cache_hit_rate,
             "shards": [shard.to_dict() for shard in self.shards],
         }
-
-
-# Sanity: every summed field name really is a ServiceStats field (guards
-# against silent drift when ServiceStats grows a counter).
-_KNOWN = {f.name for f in fields(ServiceStats)}
-for _name in _SUM_FIELDS:
-    if _name not in _KNOWN:  # pragma: no cover - import-time assertion
-        raise AssertionError(f"unknown ServiceStats field {_name!r}")

@@ -18,7 +18,8 @@ batch      many questions through ``translate_batch`` (single-
            flight dedup and the LRU stay shard-local — which is why
            routing is consistent-hash in the first place)
 lint       static analysis of a saved query or a question
-stats      the shard's ``ServiceStats`` snapshot, JSON-encoded
+stats      the shard's metrics-registry snapshot (JSON-safe, taken
+           under the service lock)
 cache_export  the shard's hottest cache entries (text, fingerprint,
            serialized query text), hottest-first — the donate side
            of the warm-restart protocol
@@ -50,7 +51,6 @@ from typing import TYPE_CHECKING
 from repro.errors import ChannelClosedError, ReproError, VerificationError
 from repro.serving.config import WorkerSpec
 from repro.serving.frames import KNOWN_OPS, FrameChannel
-from repro.serving.stats import service_stats_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import TranslationService
@@ -76,7 +76,7 @@ def error_payload(exc: BaseException) -> dict:
 def _translate_one(service: "TranslationService", text: str) -> dict:
     """One question's outcome payload (shared by translate and batch)."""
     cache = service.cache
-    hits_before = cache.stats().hits if cache is not None else 0
+    hits_before = cache.hits if cache is not None else 0
     try:
         result = service.translate(text)
     except ReproError as exc:
@@ -85,9 +85,7 @@ def _translate_one(service: "TranslationService", text: str) -> dict:
         return {"ok": False, "error": error_payload(exc)}
     # The worker handles one frame at a time, so a hits delta of one
     # can only come from this request.
-    cached = (
-        cache is not None and cache.stats().hits > hits_before
-    )
+    cached = cache is not None and cache.hits > hits_before
     return {
         "ok": True,
         "query": result.query_text,
@@ -183,10 +181,7 @@ def _handle(
     if op == "lint":
         return _handle_lint(service, request)
     if op == "stats":
-        return {
-            "ok": True,
-            "stats": service_stats_to_dict(service.stats()),
-        }
+        return {"ok": True, "stats": service.snapshot()}
     if op == "cache_export":
         try:
             n = int(request.get("n", 0))

@@ -202,31 +202,39 @@ def render_metrics(registry: "MetricsRegistry") -> str:
     gauges, and histograms with count / mean / estimated p50 and p95 —
     the admin-mode view of exactly what ``/metrics`` exposes.
     """
+    from repro.obs.metrics import histogram_quantile
+
     counters: list[list[str]] = []
     gauges: list[list[str]] = []
     histograms: list[list[str]] = []
-    for family in registry:
-        if family.kind == "gauge" and family._callback is not None:
-            family.labels()  # materialize, as expose() does
-        for labels, child in family.children():
-            series = family.name
-            if labels:
+    for name, family in registry.snapshot().items():
+        for labelvalues, value in family["series"]:
+            series = name
+            if labelvalues:
                 series += "{" + ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
+                    f"{k}={v}" for k, v in sorted(
+                        zip(family["labelnames"], labelvalues)
+                    )
                 ) + "}"
-            if family.kind == "counter":
-                counters.append([series, f"{child.value:g}"])
-            elif family.kind == "gauge":
-                gauges.append([series, f"{child.value:g}"])
-            elif family.kind == "histogram":
-                count = child.count
-                mean = child.sum / count if count else 0.0
+            if family["kind"] == "counter":
+                counters.append([series, f"{value:g}"])
+            elif family["kind"] == "gauge":
+                gauges.append([series, f"{value:g}"])
+            elif family["kind"] == "histogram":
+                count = value["count"]
+                mean = value["sum"] / count if count else 0.0
+                p50, p95 = (
+                    histogram_quantile(
+                        family["buckets"], value["counts"], count, q
+                    )
+                    for q in (0.5, 0.95)
+                )
                 histograms.append([
                     series,
                     str(count),
                     f"{mean * 1000:.2f}",
-                    f"{child.quantile(0.5) * 1000:.2f}",
-                    f"{child.quantile(0.95) * 1000:.2f}",
+                    f"{p50 * 1000:.2f}",
+                    f"{p95 * 1000:.2f}",
                 ])
     lines = ["== metrics =="]
     if counters:

@@ -217,3 +217,94 @@ class TestSharedRegistry:
         assert registry.get("nl2cm_requests_total").value() == 2.0
         # Each service's stats view reads the shared totals.
         assert a.stats().requests == b.stats().requests == 2
+
+    def test_counters_add_up_and_gauges_read_the_first_owner(
+        self, ontology
+    ):
+        from repro.resilience import ResilienceConfig
+
+        registry = MetricsRegistry()
+        nl2cm = NL2CM(ontology=ontology)
+        resilience = ResilienceConfig(breaker_threshold=1)
+        a = TranslationService(
+            nl2cm, workers=2, cache=8, registry=registry,
+            resilience=resilience,
+        )
+        b = TranslationService(
+            nl2cm, workers=3, cache=4, registry=registry,
+            resilience=resilience,
+        )
+        bare = TranslationService(nl2cm, cache=None, registry=registry)
+        for service in (a, b):
+            for _ in range(2):
+                service.translate("Where do you visit in Buffalo?")
+        a._r_breaker.record_failure()
+        b._r_breaker.record_failure()
+        # Two open breakers (state 2 each) read as one open one.
+        assert registry.get("nl2cm_breaker_state").value() == 2.0
+        stats = bare.stats()
+        assert a.stats() == b.stats() == stats
+        # Cache counts are totals over both caches ...
+        assert (stats.cache.hits, stats.cache.misses) == (2, 2)
+        # ... while state gauges describe the first registrant.
+        assert stats.cache.capacity == 8
+        assert stats.workers == 2
+
+
+def _samples(registry, name):
+    """``{label values: value}`` of one exposed family."""
+    family = parse_prometheus_text(registry.expose()).get(name)
+    if family is None:
+        return {}
+    return {
+        tuple(value for _, value in labels): sample
+        for (_, labels), sample in family["samples"].items()
+    }
+
+
+class TestOneCountPerEvent:
+    """``stats()`` and ``/metrics`` read the same count for every
+    event, so resets cannot leave the two views disagreeing."""
+
+    def test_reset_stats_zeroes_plan_cache_in_both_views(
+        self, ontology, corpus_texts
+    ):
+        from repro.__main__ import demo_engine
+
+        registry = MetricsRegistry()
+        nl2cm = NL2CM(ontology=ontology)
+        service = TranslationService(nl2cm, cache=8, registry=registry)
+        engine = demo_engine(ontology, size=20, seed=7)
+        engine.planner = nl2cm.planner
+        for text in corpus_texts[:2] * 2:
+            engine.evaluate(service.translate(text).query)
+        assert service.stats().plan_cache_hits > 0
+        service.reset_stats()
+        stats = service.stats()
+        samples = _samples(registry, "planner_plan_cache_total")
+        assert stats.plan_cache_hits == samples[("hit",)] == 0
+        assert stats.plan_cache_misses == samples[("miss",)] == 0
+        assert stats.plan_cache_invalidations == 0
+        assert samples[("invalidated",)] == 0
+        compiled = _samples(registry, "planner_plans_compiled_total")
+        assert stats.plans_compiled == compiled[()] == 0
+        assert nl2cm.planner.snapshot().hits == 0
+
+    def test_cache_clear_zeroes_both_views(self, ontology):
+        registry = MetricsRegistry()
+        service = TranslationService(
+            NL2CM(ontology=ontology), cache=8, registry=registry
+        )
+        service.translate("Where do you visit in Buffalo?")
+        service.translate("Where do you visit in Buffalo?")
+        assert _samples(registry, "nl2cm_cache_lookups_total")[("hit",)] == 1
+        service.cache.clear()
+        cache = service.cache.stats()
+        lookups = _samples(registry, "nl2cm_cache_lookups_total")
+        assert cache.hits == lookups[("hit",)] == 0
+        assert cache.misses == lookups[("miss",)] == 0
+        assert cache.insertions == _samples(
+            registry, "nl2cm_cache_insertions_total"
+        )[()] == 0
+        assert cache.size == _samples(registry, "nl2cm_cache_size")[()] == 0
+        assert service.stats().cache == cache

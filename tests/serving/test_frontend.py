@@ -271,6 +271,65 @@ class TestMetrics:
         assert metrics["serving_pending"]["type"] == "gauge"
         assert metrics["serving_workers_alive"]["samples"]
 
+    def test_worker_series_are_federated_with_a_shard_label(
+        self, frontend
+    ):
+        _request(frontend, "/translate", {"question": SUPPORTED[0]})
+        # A scrape renders what the last /stats probe saw.
+        _, _, stats = _request(frontend, "/stats")
+        _, _, body = _request(frontend, "/metrics")
+        metrics = parse_prometheus_text(body)
+
+        def shards(name):
+            return {
+                dict(labels)["shard"]
+                for _, labels in metrics[name]["samples"]
+            }
+
+        for name in (
+            "nl2cm_requests_total", "nl2cm_cache_lookups_total",
+            "nl2cm_kb_lint_diagnostics", "planner_plan_cache_total",
+        ):
+            assert shards(name) == {"0", "1"}, name
+        # Stage series exist on the shards that translated something.
+        assert shards("nl2cm_stage_seconds") in (
+            {"0"}, {"1"}, {"0", "1"}
+        )
+        assert metrics["nl2cm_stage_seconds"]["type"] == "histogram"
+        requests = metrics["nl2cm_requests_total"]["samples"].values()
+        assert sum(requests) == stats["total"]["requests"] >= 1
+
+    def test_scrape_does_not_probe_a_busy_worker(self):
+        """A stalled worker does not delay /metrics: the scrape sends
+        no probe of its own, it renders the last probed series."""
+        manager = ShardManager(
+            shards=1,
+            spec=WorkerSpec(cache_size=0, debug_ops=True),
+            start_method="thread",
+        )
+        front = HTTPFrontend(manager)
+        try:
+            manager.submit(SUPPORTED[0])
+            manager.stats()
+            stall = threading.Thread(
+                target=manager.debug_stall, args=(0, 2.0)
+            )
+            stall.start()
+            time.sleep(0.2)
+            started = time.monotonic()
+            status, _, body = _request(front, "/metrics")
+            elapsed = time.monotonic() - started
+            stall.join(15.0)
+        finally:
+            front.close()
+            manager.close()
+        assert status == 200
+        assert elapsed < 1.0
+        samples = parse_prometheus_text(body)["nl2cm_requests_total"]
+        assert samples["samples"] == {
+            ("nl2cm_requests_total", (("shard", "0"),)): 1
+        }
+
     def test_http_counters_label_endpoint_and_status(self, frontend):
         _request(frontend, "/translate", {"question": UNSUPPORTED})
         _, _, body = _request(frontend, "/metrics")

@@ -157,6 +157,13 @@ class TestServeMode:
         assert "identity: holds" in err
         exposition = metrics_file.read_text("utf-8")
         assert "serving_http_requests_total" in exposition
+        # The final scrape file federates every shard's worker series.
+        from repro.obs import parse_prometheus_text
+
+        samples = parse_prometheus_text(exposition)[
+            "nl2cm_requests_total"
+        ]["samples"]
+        assert [dict(labels) for _, labels in samples] == [{"shard": "0"}]
 
 
 class TestSubprocess:
