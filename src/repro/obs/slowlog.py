@@ -78,14 +78,21 @@ class SlowQueryLog:
 
     @property
     def seen(self) -> int:
-        """Slow translations recorded over the log's lifetime
-        (including ones the ring has since dropped)."""
+        """Slow translations recorded since construction or the last
+        :meth:`clear` (including ones the ring has since dropped)."""
         with self._lock:
             return self._seen
 
+    def sample_seen(self) -> int:
+        """:attr:`seen` as a registry callback reads it: one int load,
+        no lock, so a scrape never waits on :meth:`record`."""
+        return self._seen
+
     def clear(self) -> None:
+        """Empty the ring and zero :attr:`seen`."""
         with self._lock:
             self._entries.clear()
+            self._seen = 0
 
     def render(self) -> str:
         entries = self.entries()

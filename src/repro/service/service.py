@@ -467,9 +467,13 @@ class TranslationService:
             labelnames=("severity",),
             callback=kb_report.counts if kb_report is not None else None,
         )
-        self._m_slow = r.counter(
+        r.counter(
             "nl2cm_slow_queries_total",
             "Translations retained by the slow-query log.",
+            callback=(
+                self.slow_log.sample_seen
+                if self.slow_log is not None else None
+            ),
         )
         self._m_degraded = r.counter(
             "repro_degraded_total",
@@ -572,8 +576,8 @@ class TranslationService:
                 self._m_degraded.inc()
             if result.lint is not None:
                 self._count_lint(result.lint)
-        if self.slow_log is not None and self.slow_log.record(text, trace):
-            self._m_slow.inc()
+        if self.slow_log is not None:
+            self.slow_log.record(text, trace)
         if (
             self.cache is not None
             and fingerprint is not None

@@ -63,6 +63,9 @@ _MID_FRAME_TIMEOUT = 30.0
 
 _HEADER = struct.Struct("!I")
 
+#: Room offered to each ``recv``: a typical reply frame fits whole.
+_RECV_BYTES = 64 * 1024
+
 
 def encode_frame(obj: dict) -> bytes:
     """Serialize one message to its wire form (header + JSON payload)."""
@@ -106,6 +109,8 @@ class FrameChannel:
         sock.setblocking(True)
         self._sock = sock
         self._broken = False
+        #: bytes received but not yet returned as (part of) a frame
+        self._buffer = bytearray()
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -128,76 +133,90 @@ class FrameChannel:
     # -- receiving -------------------------------------------------------------
 
     def recv(self, timeout: float | None = None) -> dict:
-        """Read one frame, waiting at most ``timeout`` seconds.
+        """Read one frame, waiting at most ``timeout`` seconds for it
+        (``None``: wait as long as it takes).
 
         A timeout *before any byte of the frame arrived* raises
         ``TimeoutError`` and leaves the stream aligned — the caller can
         keep using the channel (this is how per-request deadlines work
-        without poisoning the connection).  EOF raises
+        without poisoning the connection).  Once a frame has begun, the
+        rest of it must arrive within the mid-frame budget.  EOF raises
         :class:`ChannelClosedError`; a malformed header or payload
         raises :class:`FrameProtocolError` and marks the channel
         broken.
+
+        Bytes are read into a buffer, so a frame written with one
+        ``sendall`` is usually taken in one ``recv``: two system calls
+        per frame with a timeout (``select`` and ``recv``), one without.
         """
         self._check_usable()
-        if timeout is not None:
-            ready, _, _ = select.select([self._sock], [], [], max(timeout, 0.0))
-            if not ready:
-                raise TimeoutError(
-                    f"no frame arrived within {timeout:.3f}s"
+        if not self._buffer:
+            if timeout is not None:
+                ready, _, _ = select.select(
+                    [self._sock], [], [], max(timeout, 0.0)
                 )
-        header = self._read_exact(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
+                if not ready:
+                    raise TimeoutError(
+                        f"no frame arrived within {timeout:.3f}s"
+                    )
+            self._receive(_HEADER.size, mid_frame=False)
+        (length,) = _HEADER.unpack(self._take(_HEADER.size))
         if length > MAX_FRAME_BYTES:
             self._broken = True
             raise FrameProtocolError(
                 f"frame header announces {length} bytes, over the "
                 f"{MAX_FRAME_BYTES}-byte ceiling (stream corrupt?)"
             )
-        payload = self._read_exact(length)
+        payload = self._take(length)
         try:
             return decode_frame(payload)
         except FrameProtocolError:
             self._broken = True
             raise
 
-    def _read_exact(self, n: int) -> bytes:
-        """Read exactly ``n`` bytes, under the mid-frame safety budget."""
-        chunks: list[bytes] = []
-        remaining = n
-        self._sock.settimeout(_MID_FRAME_TIMEOUT)
-        try:
-            while remaining:
-                try:
-                    chunk = self._sock.recv(min(remaining, 1 << 20))
-                except (socket.timeout, TimeoutError) as err:
-                    self._broken = True
-                    raise FrameProtocolError(
-                        f"peer stalled mid-frame for "
-                        f"{_MID_FRAME_TIMEOUT:.0f}s with {remaining} of "
-                        f"{n} bytes outstanding"
-                    ) from err
-                except (ConnectionError, OSError) as err:
-                    self._broken = True
-                    raise ChannelClosedError(
-                        f"channel failed mid-read: {err}"
-                    ) from err
-                if not chunk:
-                    self._broken = True
-                    raise ChannelClosedError(
-                        "peer closed the channel"
-                        + (
-                            f" mid-frame ({remaining} of {n} bytes "
-                            f"outstanding)" if chunks else ""
-                        )
-                    )
-                chunks.append(chunk)
-                remaining -= len(chunk)
-        finally:
+    def _take(self, n: int) -> bytes:
+        """The stream's next ``n`` bytes; any not yet buffered must
+        arrive within the mid-frame budget."""
+        missing = n - len(self._buffer)
+        if missing > 0:
+            self._sock.settimeout(_MID_FRAME_TIMEOUT)
             try:
-                self._sock.settimeout(None)
-            except OSError:  # pragma: no cover - socket already dead
-                pass
-        return b"".join(chunks)
+                while missing > 0:
+                    missing -= self._receive(missing, mid_frame=True)
+            finally:
+                try:
+                    self._sock.settimeout(None)
+                except OSError:  # pragma: no cover - socket already dead
+                    pass
+        data = bytes(self._buffer[:n])
+        del self._buffer[:n]
+        return data
+
+    def _receive(self, wanted: int, mid_frame: bool) -> int:
+        """One ``recv`` of at least ``wanted`` bytes' room into the
+        buffer; returns how many bytes arrived."""
+        try:
+            chunk = self._sock.recv(min(max(wanted, _RECV_BYTES), 1 << 20))
+        except (socket.timeout, TimeoutError) as err:
+            self._broken = True
+            raise FrameProtocolError(
+                f"peer stalled mid-frame for {_MID_FRAME_TIMEOUT:.0f}s "
+                f"with {wanted} bytes outstanding"
+            ) from err
+        except (ConnectionError, OSError) as err:
+            self._broken = True
+            raise ChannelClosedError(
+                f"channel failed mid-read: {err}"
+            ) from err
+        if not chunk:
+            self._broken = True
+            raise ChannelClosedError(
+                "peer closed the channel"
+                + (f" mid-frame ({wanted} bytes outstanding)"
+                   if mid_frame else "")
+            )
+        self._buffer += chunk
+        return len(chunk)
 
     # -- lifecycle -------------------------------------------------------------
 

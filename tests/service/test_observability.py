@@ -308,3 +308,19 @@ class TestOneCountPerEvent:
         )[()] == 0
         assert cache.size == _samples(registry, "nl2cm_cache_size")[()] == 0
         assert service.stats().cache == cache
+
+    def test_reset_stats_zeroes_slow_queries_in_both_views(self, ontology):
+        registry = MetricsRegistry()
+        slow = SlowQueryLog(threshold_ms=0)
+        service = TranslationService(
+            NL2CM(ontology=ontology), cache=None, registry=registry,
+            slow_log=slow,
+        )
+        service.translate("Where do you visit in Buffalo?")
+        samples = _samples(registry, "nl2cm_slow_queries_total")
+        assert service.stats().slow_queries == samples[()] == slow.seen == 1
+        service.reset_stats()
+        samples = _samples(registry, "nl2cm_slow_queries_total")
+        assert service.stats().slow_queries == samples[()] == slow.seen == 0
+        service.translate("Where do you visit in Buffalo?")
+        assert service.stats().slow_queries == slow.seen == 1

@@ -3,10 +3,12 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.errors import ChannelClosedError, FrameProtocolError
+from repro.serving import frames
 from repro.serving import (
     MAX_FRAME_BYTES,
     FrameChannel,
@@ -140,3 +142,54 @@ class TestFrameChannel:
         assert [right.recv(timeout=5.0)["id"] for i in range(50)] == list(
             range(50)
         )
+
+    def test_buffered_frame_is_returned_without_waiting(self, channel_pair):
+        """Two frames in one write: the second is already buffered, so
+        a short timeout must still return it rather than wait on the
+        (now empty) socket."""
+        left, right = channel_pair
+        left._sock.sendall(encode_frame({"id": 1}) + encode_frame({"id": 2}))
+        assert right.recv(timeout=5.0) == {"id": 1}
+        assert right.recv(timeout=0.01) == {"id": 2}
+        with pytest.raises(TimeoutError):
+            right.recv(timeout=0.05)
+
+    def test_frame_split_across_writes_is_reassembled(self, channel_pair):
+        left, right = channel_pair
+        frame = encode_frame({"op": "ping", "id": 7})
+
+        def trickle():
+            for i in range(len(frame)):
+                left._sock.sendall(frame[i:i + 1])
+                time.sleep(0.002)
+
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        assert right.recv(timeout=5.0) == {"op": "ping", "id": 7}
+        thread.join(5.0)
+
+    def test_untimed_recv_waits_past_the_mid_frame_budget(
+        self, channel_pair, monkeypatch
+    ):
+        """The mid-frame budget starts with a frame's first byte: an
+        idle worker waiting for its next request must not give up
+        (it used to raise after the budget and end the worker)."""
+        monkeypatch.setattr(frames, "_MID_FRAME_TIMEOUT", 0.2)
+        left, right = channel_pair
+        timer = threading.Timer(0.6, left.send, args=({"id": 3},))
+        timer.start()
+        try:
+            assert right.recv() == {"id": 3}
+        finally:
+            timer.cancel()
+
+    def test_stall_mid_frame_breaks_the_channel(
+        self, channel_pair, monkeypatch
+    ):
+        monkeypatch.setattr(frames, "_MID_FRAME_TIMEOUT", 0.2)
+        left, right = channel_pair
+        left._sock.sendall(struct.pack("!I", 64) + b'{"half":')
+        with pytest.raises(FrameProtocolError):
+            right.recv(timeout=5.0)
+        with pytest.raises(ChannelClosedError):
+            right.recv(timeout=5.0)

@@ -1,8 +1,12 @@
 """Tests for the HTTP/JSON front-end: endpoints, status mapping,
 load shedding over HTTP, and the metrics exposition."""
 
+import http.client
 import json
 import socket
+import socketserver
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -342,6 +346,226 @@ class TestMetrics:
         assert samples.get(key, 0) >= 1
 
 
+def _keep_alive_exchange(conn, method, path, body=None):
+    """One request on a reused ``http.client`` connection."""
+    data = json.dumps(body) if body is not None else None
+    conn.request(
+        method, path, body=data,
+        headers={"Content-Type": "application/json"} if data else {},
+    )
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestKeepAlive:
+    """A reused connection must not wait on the client's delayed ACK:
+    a response that leaves as head then body lets Nagle's algorithm
+    hold the body ~40 ms, so each response is one socket write."""
+
+    def test_every_response_is_one_socket_write(
+        self, frontend, monkeypatch
+    ):
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(len(data))  # before sending: the client waits
+            return write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            counting_write)
+        conn = http.client.HTTPConnection(
+            frontend.host, frontend.port, timeout=30
+        )
+        try:
+            # /stats first so /metrics carries the shards' series.
+            _keep_alive_exchange(conn, "GET", "/stats")
+            for method, path, body in (
+                ("POST", "/translate", {"question": SUPPORTED[0]}),
+                ("GET", "/healthz", None),
+                ("GET", "/metrics", None),
+            ):
+                writes.clear()
+                status, raw = _keep_alive_exchange(conn, method, path, body)
+                assert status == 200, path
+                assert len(writes) == 1, (path, writes)
+            assert len(raw) > 8192  # larger than a BufferedWriter buffer
+        finally:
+            conn.close()
+
+    def test_back_to_back_requests_on_one_connection_do_not_stall(
+        self, frontend
+    ):
+        conn = http.client.HTTPConnection(
+            frontend.host, frontend.port, timeout=30
+        )
+        try:
+            body = {"question": SUPPORTED[0]}
+            status, _ = _keep_alive_exchange(conn, "POST", "/translate", body)
+            assert status == 200  # translated once; the rest are hits
+            started = time.monotonic()
+            for _ in range(20):
+                status, _ = _keep_alive_exchange(
+                    conn, "POST", "/translate", body
+                )
+                assert status == 200
+            elapsed = time.monotonic() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f} s"
+
+    def test_http09_request_gets_the_body_alone(self, frontend):
+        with socket.create_connection(
+            (frontend.host, frontend.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        assert json.loads(data)["status"] == "ok"
+
+
+class TestClientErrors:
+    def test_client_reset_is_counted_not_printed(self, frontend, capfd):
+        counter = frontend.manager.registry.get("serving_http_requests_total")
+
+        def resets():
+            return counter.value(endpoint="other", status="499")
+
+        before = resets()
+        capfd.readouterr()
+        sock = socket.create_connection(
+            (frontend.host, frontend.port), timeout=30
+        )
+        sock.sendall(b"POST /translate HTTP/1.1\r\nHost: x\r\n")
+        time.sleep(0.1)  # the handler is now reading headers
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()  # RST, not FIN
+        deadline = time.monotonic() + 5.0
+        while resets() == before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert resets() == before + 1
+        assert capfd.readouterr().err == ""
+
+    def test_other_handler_errors_are_still_reported(self, frontend, capfd):
+        capfd.readouterr()
+        try:
+            raise ValueError("handler bug")
+        except ValueError:
+            frontend._server.handle_error(None, ("127.0.0.1", 0))
+        assert "ValueError: handler bug" in capfd.readouterr().err
+
+
+def _raw_exchange(front, head: str, body: bytes = b"") -> bytes:
+    """Send one raw request and read until the server hangs up."""
+    with socket.create_connection((front.host, front.port), timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return data
+
+
+def _status(data: bytes) -> int:
+    return int(data.split(b" ", 2)[1])
+
+
+class TestRequestHead:
+    """HTTP/1.0 and HTTP/1.1 request heads are read without the
+    ``email`` package; these pin what that reader accepts."""
+
+    def _post(self, front, fields: str, version: str = "HTTP/1.1"):
+        body = json.dumps({"question": SUPPORTED[0]}).encode("utf-8")
+        fields = fields.replace("{n}", str(len(body)))
+        return _raw_exchange(
+            front, f"POST /translate {version}\r\n{fields}\r\n", body
+        )
+
+    def test_field_names_are_case_insensitive(self, frontend):
+        data = self._post(
+            frontend, "content-LENGTH: {n}\r\nCONNECTION: close\r\n"
+        )
+        assert _status(data) == 200
+        assert json.loads(data.split(b"\r\n\r\n", 1)[1])["ok"]
+
+    def test_repeated_equal_content_length_is_accepted(self, frontend):
+        data = self._post(
+            frontend,
+            "Content-Length: {n}\r\nContent-Length: {n}\r\n"
+            "Connection: close\r\n",
+        )
+        assert _status(data) == 200
+
+    @pytest.mark.parametrize("fields", [
+        "Content-Length: {n}\r\nContent-Length: 2\r\n",  # ambiguous end
+        "Content-Length: {n}\r\nX-Folded: a\r\n b\r\n",  # obsolete fold
+        "Content-Length: {n}\r\nno colon here\r\n",
+        "Content-Length : {n}\r\n",  # whitespace before the colon
+    ])
+    def test_malformed_heads_are_400_and_close(self, frontend, fields):
+        data = self._post(frontend, fields)  # returns once the server closes
+        assert _status(data) == 400
+
+    def test_line_count_limit(self, frontend):
+        """As in ``http.client``: 100 lines, the closing blank one
+        included, so 99 fields."""
+        many = "".join(f"X-F{i}: v\r\n" for i in range(97))
+        ok = self._post(
+            frontend, many + "Content-Length: {n}\r\nConnection: close\r\n"
+        )
+        assert _status(ok) == 200
+        too_many = self._post(
+            frontend, many + "X-F97: v\r\nContent-Length: {n}\r\n"
+            "Connection: close\r\n",
+        )
+        assert _status(too_many) == 431
+
+    def test_overlong_field_line_is_431(self, frontend):
+        data = self._post(
+            frontend, "X-Long: " + "a" * 70000 + "\r\nContent-Length: {n}\r\n"
+        )
+        assert _status(data) == 431
+
+    def test_http10_closes_unless_asked_to_keep_alive(self, frontend):
+        data = self._post(frontend, "Content-Length: {n}\r\n", "HTTP/1.0")
+        assert _status(data) == 200  # read to EOF: the server closed
+        with socket.create_connection(
+            (frontend.host, frontend.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n"
+                         b"Connection: keep-alive\r\n\r\n")
+            first = http.client.HTTPResponse(sock)
+            first.begin()
+            first.read()
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            second = b""
+            while chunk := sock.recv(65536):
+                second += chunk
+        assert first.status == 200
+        assert _status(second) == 200
+
+    def test_expect_100_continue(self, frontend):
+        body = json.dumps({"question": SUPPORTED[0]}).encode("utf-8")
+        with socket.create_connection(
+            (frontend.host, frontend.port), timeout=30
+        ) as sock:
+            sock.sendall(
+                f"POST /translate HTTP/1.1\r\nContent-Length: {len(body)}"
+                "\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n"
+                .encode("ascii")
+            )
+            interim = sock.recv(65536)
+            sock.sendall(body)
+            final = b""
+            while chunk := sock.recv(65536):
+                final += chunk
+        assert interim.startswith(b"HTTP/1.1 100 ")
+        data = interim.split(b"\r\n\r\n", 1)[1] + final
+        assert _status(data) == 200
+
+
 class TestLoadShedding:
     def test_saturation_returns_429_with_retry_after(self):
         """The acceptance scenario: saturate a 1-shard tier and require
@@ -404,6 +628,95 @@ class TestFrontendLifecycle:
         with HTTPFrontend(thread_manager) as front:
             status, _, _ = _request(front, "/healthz")
             assert status == 200
+
+    def test_close_ends_idle_keep_alive_connections(self, thread_manager):
+        front = HTTPFrontend(thread_manager)
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=30)
+        closer = threading.Thread(target=front.close)
+        try:
+            assert _keep_alive_exchange(conn, "GET", "/healthz")[0] == 200
+            closer.start()
+            closer.join(2.0)
+            assert not closer.is_alive(), "close() waited on an idle client"
+            assert conn.sock.recv(1) == b"", "the server must hang up"
+        finally:
+            conn.close()  # lets a blocked close() return either way
+            if closer.ident is None:  # the exchange failed first
+                closer.start()
+            closer.join(15.0)
+        assert not closer.is_alive()
+
+    def test_close_under_keep_alive_churn(self, thread_manager):
+        """More clients than cores, each looping keep-alive requests,
+        while close() runs: it returns promptly, every exchange ends in
+        a 200 or a closed connection (never a hang), and no connection
+        is left marked idle."""
+        front = HTTPFrontend(thread_manager)
+        outcomes = []
+
+        def client():
+            conn = http.client.HTTPConnection(
+                front.host, front.port, timeout=10
+            )
+            try:
+                while True:
+                    status, _ = _keep_alive_exchange(conn, "GET", "/healthz")
+                    outcomes.append(status)
+            except (ConnectionError, http.client.HTTPException):
+                outcomes.append("closed")
+            except OSError as exc:  # e.g. a timeout: a hang
+                outcomes.append(repr(exc))
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        try:
+            for thread in clients:
+                thread.start()
+            time.sleep(0.3)
+            started = time.monotonic()
+            front.close()
+            elapsed = time.monotonic() - started
+            for thread in clients:
+                thread.join(15.0)
+        finally:
+            sys.setswitchinterval(interval)
+            front.close()
+        assert not any(thread.is_alive() for thread in clients)
+        assert elapsed < 2.0
+        assert set(outcomes) == {200, "closed"}
+        assert outcomes.count("closed") == len(clients)
+        assert not front._server._idle
+
+    def test_close_answers_a_request_in_flight(self):
+        manager = ShardManager(
+            shards=1, spec=WorkerSpec(cache_size=0, debug_ops=True),
+            start_method="thread",
+        )
+        front = HTTPFrontend(manager)
+        result = {}
+        try:
+            stall = threading.Thread(
+                target=manager.debug_stall, args=(0, 1.0)
+            )
+            stall.start()
+            time.sleep(0.1)
+            client = threading.Thread(
+                target=lambda: result.update(status=_request(
+                    front, "/translate", {"question": SUPPORTED[0]}
+                )[0]),
+            )
+            client.start()
+            time.sleep(0.2)  # the request is queued behind the stall
+            front.close()
+            client.join(15.0)
+            stall.join(15.0)
+        finally:
+            front.close()
+            manager.close()
+        assert result == {"status": 200}
 
     def test_closed_manager_maps_to_503(self):
         manager = ShardManager(

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import AdmissionRejected, ServingError, ShardTimeoutError
-from repro.serving import ShardManager, WorkerSpec
+from repro.serving import ShardManager, WorkerSpec, frames
 from repro.service.cache import TranslationCache
 
 from tests.serving.conftest import SUPPORTED, UNSUPPORTED
@@ -100,6 +100,19 @@ class TestOutcomes:
         )
         assert query_reply["ok"]
         assert "counts" in query_reply
+
+    def test_idle_worker_outlives_the_mid_frame_budget(self, monkeypatch):
+        """A worker waiting for its next request is idle, not stalled
+        mid-frame: it used to exit once the budget ran out, so every
+        request after a quiet spell paid for a restart."""
+        monkeypatch.setattr(frames, "_MID_FRAME_TIMEOUT", 0.3)
+        with ShardManager(
+            shards=1, spec=WorkerSpec(cache_size=8), start_method="thread"
+        ) as manager:
+            assert manager.submit(SUPPORTED[0]).ok
+            time.sleep(1.0)
+            assert manager.submit(SUPPORTED[0]).ok
+            assert manager.stats().restarts == 0
 
     def test_ping_and_health(self, thread_manager):
         report = thread_manager.health(ping=True)
